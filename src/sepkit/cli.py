@@ -110,6 +110,7 @@ def cmd_solve(args):
             "matrix_kind": matrix_kind,
             "relaxation_value": report.value,
             "iterations": report.iterations,
+            "converged": report.converged,
             "feasible": report.residuals.feasible,
             "max_unit_violation": report.residuals.max_unit_violation,
             "max_triangle_violation": report.residuals.max_triangle_violation,
@@ -126,7 +127,6 @@ def _pipeline_options(args):
         sigma=args.sigma,
         c_prime=args.c_prime,
         b_const=args.b_const,
-        seed=args.seed,
     )
     return PipelineOptions(
         rounding=rounding, retries=args.retries, seed=args.seed, starts=args.starts

@@ -106,18 +106,6 @@ def objective_gradient(g: Graph, z: np.ndarray, p: float, floor: float = GRAD_FL
     return grad
 
 
-def _linear_subproblem_full(grad, g, c, inner_tol, p, z0, seed, feas_tol):
-    if z0 is None:
-        z0 = 1.0 - np.eye(g.n)
-    rhs = zform_spread_requirement(g.n, c)
-    tol = min(inner_tol, 1e-6) if feas_tol is None else feas_tol
-    result = core.minimize_linear_zform(
-        np.asarray(grad, dtype=float), g.n, p, rhs, np.asarray(z0, dtype=float),
-        tol=tol, seed=seed,
-    )
-    return ZForm(result.z), result
-
-
 def linear_subproblem(
     grad,
     g: Graph,
@@ -133,7 +121,13 @@ def linear_subproblem(
     exponent is an explicit argument.  z0 seeds the search (defaults to the
     orthonormal pattern).
     """
-    return _linear_subproblem_full(grad, g, c, inner_tol, p, z0, seed, None)[0]
+    if z0 is None:
+        z0 = 1.0 - np.eye(g.n)
+    result = core.minimize_linear_zform(
+        np.asarray(grad, dtype=float), g.n, p, zform_spread_requirement(g.n, c),
+        np.asarray(z0, dtype=float), tol=min(inner_tol, 1e-6), seed=seed,
+    )
+    return ZForm(result.z)
 
 
 def _cut_start_members(g: Graph, c: float, starts: int, rng):
@@ -177,17 +171,20 @@ def _descend(g, c, p, z_start, f_start, opts, seed):
     Loose subproblems steer the search into a basin cheaply; the final answer
     always comes from the tight loop, so the point handed back is feasible at
     solver precision, no worse than the start, and one more tight step cannot
-    improve it by inner_tol.  Returns (z, value, iterations, certified).
+    improve it by inner_tol.  Returns (z, value, iterations, certified,
+    converged), where converged says that every subproblem converged.
     """
+    rhs = zform_spread_requirement(g.n, c)
     iterations = 0
+    converged = True
 
     def subproblem(z, feas_tol):
-        nonlocal iterations
+        nonlocal iterations, converged
         grad = objective_gradient(g, z, p)
-        znew, result = _linear_subproblem_full(
-            grad, g, c, opts.inner_tol, p, z, seed, feas_tol
-        )
+        result = core.minimize_linear_zform(grad, g.n, p, rhs, z, tol=feas_tol, seed=seed)
         iterations += result.iterations
+        converged = converged and result.converged
+        znew = ZForm(result.z)
         return znew.matrix, objective_z(g, znew, p)
 
     # loose exploration
@@ -209,9 +206,9 @@ def _descend(g, c, p, z_start, f_start, opts, seed):
     for _ in range(opts.max_outer):
         znew, fnew = subproblem(z, TIGHT_TOL)
         if f - fnew < opts.inner_tol:
-            return z, f, iterations, True
+            return z, f, iterations, True, converged
         z, f = znew, fnew
-    return z, f, iterations, False
+    return z, f, iterations, False, converged
 
 
 def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOptions()):
@@ -241,14 +238,14 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
 
     best = None
     total_iter = 0
-    certified = False
+    certified = converged = False
     for idx, z0 in enumerate(starts):
         f0 = objective_z(g, ZForm(z0), p)
-        z, f, iters, cert = _descend(g, c, p, z0, f0, opts, opts.seed)
+        z, f, iters, cert, conv = _descend(g, c, p, z0, f0, opts, opts.seed)
         total_iter += iters
         if best is None or f < best[0] - 1e-15:
             best = (f, z, idx)
-            certified = cert
+            certified, converged = cert, conv
     if best is None:
         raise core.NonconvergedError("no start produced a feasible point")
     if not certified:
@@ -270,6 +267,7 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
         iterations=total_iter,
         wall_time=time.perf_counter() - t0,
         seed=opts.seed,
+        converged=converged,
     )
     return zform, report
 

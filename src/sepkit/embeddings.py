@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, Cut
+from .solver_core import triangle_slabs
 
 TOL_UNIT = 1e-8
 TOL_TRIANGLE = 1e-8
 TOL_SPREAD = 1e-8
 TOL_PSD = 1e-7
-
-TRIANGLE_ENUM_LIMIT = 64
 
 
 class NotPsdError(ValueError):
@@ -186,24 +185,12 @@ def spread_requirement(n: int, c: float) -> float:
     return 4.0 * c * (1.0 - c) * n * n
 
 
-def max_triangle_violation(dist_pow: np.ndarray, sample_seed: int = 0) -> float:
+def max_triangle_violation(dist_pow: np.ndarray) -> float:
     """Largest D[i,k] - D[i,j] - D[j,k] over ordered triples of a symmetric
-    nonnegative matrix.  Full n^3 scan up to TRIANGLE_ENUM_LIMIT, seeded
-    sampling beyond."""
-    d = dist_pow
-    n = d.shape[0]
-    if n < 3:
+    nonnegative matrix: an exact n^3 scan at every n."""
+    if dist_pow.shape[0] < 3:
         return 0.0
-    if n <= TRIANGLE_ENUM_LIMIT:
-        worst = -np.inf
-        for j in range(n):
-            m = d - d[:, j][:, None] - d[j, :][None, :]
-            worst = max(worst, float(m.max()))
-        return worst
-    rng = np.random.default_rng(sample_seed)
-    idx = rng.integers(0, n, size=(200000, 3))
-    i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
-    return float(np.max(d[i, k] - d[i, j] - d[j, k]))
+    return max(float(slab.max()) for _, slab in triangle_slabs(dist_pow))
 
 
 def check_feasibility(
@@ -266,10 +253,6 @@ def objective_z(g: Graph, z: ZForm, p: float, tol: float = 1e-9) -> float:
         raise ValueError(f"negative z entry {vals.min():.3e} outside tolerance")
     vals = np.maximum(vals, 0.0)
     return float(np.sum(vals ** (p / 2.0)) / 2.0 ** (p / 2.0))
-
-
-def zform_spread(z: ZForm) -> float:
-    return float(np.sum(np.triu(z.matrix, k=1)))
 
 
 def zform_spread_requirement(n: int, c: float) -> float:

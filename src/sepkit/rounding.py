@@ -36,7 +36,6 @@ class RoundingParams:
     sigma: float = 1.0
     c_prime: float | None = None  # None: c/4, filled in by the pipeline
     b_const: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.delta is not None and self.delta <= 0:

@@ -40,7 +40,6 @@ SDP_N_CAP = 64
 class SdpOptions:
     tol: float = 1e-6
     max_iter: int = 50000
-    triangle_batch: int | None = None  # None: one batch of n per round
     seed: int = 0
     warm_start: str = "cut"  # "cut" | "orthonormal"
 
@@ -60,6 +59,7 @@ class SolveReport:
     iterations: int
     wall_time: float
     seed: int
+    converged: bool  # False when a solver loop stopped at its round or step cap
 
 
 def cut_z_matrix(g: Graph, members) -> np.ndarray:
@@ -112,7 +112,6 @@ def solve_sdp(g: Graph, c: float, opts: SdpOptions = SdpOptions()):
         z0,
         tol=opts.tol / 2.0,
         max_iter=opts.max_iter,
-        triangle_batch=opts.triangle_batch,
         seed=opts.seed,
     )
     x = gram_from_z(ZForm(result.z))
@@ -128,6 +127,7 @@ def solve_sdp(g: Graph, c: float, opts: SdpOptions = SdpOptions()):
         iterations=result.iterations,
         wall_time=time.perf_counter() - t0,
         seed=opts.seed,
+        converged=result.converged,
     )
     return x, report
 

@@ -20,20 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
 Z_FLOOR = 1e-8  # gradient guard: d(z^{p/2})/dz blows up at z = 0 for p < 2
+JITTER = 1e-4  # factor jitter at the warm start (see factor_correlation)
+INNER_STEPS = 120  # L-BFGS iterations per augmented-Lagrangian round
+MIN_NEW_TRIANGLES = 4  # a round activates up to max(n, this) new triangles
 
 
 class NonconvergedError(RuntimeError):
@@ -56,7 +46,7 @@ class CoreResult:
     spread_slack: float
     max_triangle_violation: float
     active_triangles: int
-    feasible: bool
+    converged: bool  # False when the loop stopped at max_rounds or max_iter
 
 
 def symmetrize(a):
@@ -103,19 +93,40 @@ def power_matrix(z, p):
     return np.maximum(z, 0.0) ** half
 
 
+def triangle_slabs(w):
+    """Yield (j, slab) for every middle vertex j, with slab[i, k] =
+    w[i, k] - w[i, j] - w[j, k], the triangle violation of w at the ordered
+    triple (i, j, k).  Every triangle check reduces over these n slabs, so
+    each is an exact n^3 scan at every n."""
+    for j in range(w.shape[0]):
+        yield j, w - w[:, j][:, None] - w[j, :][None, :]
+
+
+def _upper_slabs(z, p):
+    """Power-weight slabs of a symmetric z, upper triangle only.  (i, j, k)
+    and (k, j, i) are one inequality whose two slab entries can differ in the
+    last bit; reading each once keeps the scan and the maximum consistent."""
+    w = power_matrix(z, p)
+    np.fill_diagonal(w, 0.0)
+    on_or_below = np.tri(w.shape[0], dtype=bool)
+    for j, slab in triangle_slabs(w):
+        slab[on_or_below] = 0.0
+        yield j, slab
+
+
 def scan_triangle_violations(z, p, tol):
     """All ordered triples violating the power-triangle inequality by more
     than tol, as (violation, i, j, k) sorted by decreasing violation with a
-    deterministic tie-break.  Triples are canonicalized to i < k."""
-    n = z.shape[0]
-    if n < 3:
+    deterministic tie-break.  Triples are canonicalized to i < k.
+
+    For tol >= 0 the list is non-empty exactly when
+    max_triangle_violation_z(z, p) > tol, and its first entry is that maximum.
+    """
+    if z.shape[0] < 3:
         return []
-    w = power_matrix(z, p)
-    np.fill_diagonal(w, 0.0)
     found = []
-    for j in range(n):
-        viol = w - w[:, j][:, None] - w[j, :][None, :]
-        ii, kk = np.nonzero(np.triu(viol, k=1) > tol)
+    for j, viol in _upper_slabs(z, p):
+        ii, kk = np.nonzero(viol > tol)
         for i, k in zip(ii.tolist(), kk.tolist()):
             if i != j and k != j:
                 found.append((float(viol[i, k]), i, j, k))
@@ -124,16 +135,10 @@ def scan_triangle_violations(z, p, tol):
 
 
 def max_triangle_violation_z(z, p):
-    n = z.shape[0]
-    if n < 3:
+    """Largest power-triangle violation of a symmetric z; 0 when none is."""
+    if z.shape[0] < 3:
         return 0.0
-    w = power_matrix(z, p)
-    np.fill_diagonal(w, 0.0)
-    worst = 0.0
-    for j in range(n):
-        viol = w - w[:, j][:, None] - w[j, :][None, :]
-        worst = max(worst, float(viol.max()))
-    return worst
+    return max(float(viol.max()) for _, viol in _upper_slabs(z, p))
 
 
 def _triangle_terms(z, tri, p, floor):
@@ -158,91 +163,21 @@ def _triangle_terms(z, tri, p, floor):
     return h, d_ik, d_ij, d_jk
 
 
-@njit(cache=True)
-def _al_eval_fast(v, c_mat, rhs, p, mu, rho, tri, nu, floor):
-    """Jitted augmented-Lagrangian value and V-gradient.  Mirrors _al_eval."""
-    n, d = v.shape
-    half = p / 2.0
-    x = v @ v.T
-    z = 1.0 - x
-    for i in range(n):
-        z[i, i] = 0.0
-    val = 0.0
-    ssum = 0.0
-    for i in range(n):
-        for j in range(n):
-            val += c_mat[i, j] * z[i, j]
-            if j > i:
-                ssum += z[i, j]
-    s = ssum - rhs
-    act_s = mu - rho * s
-    if act_s < 0.0:
-        act_s = 0.0
-    val += (act_s * act_s - mu * mu) / (2.0 * rho)
-    m = c_mat.copy()
-    if act_s != 0.0:
-        half_act = 0.5 * act_s
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    m[i, j] -= half_act
-    t = tri.shape[0]
-    for idx in range(t):
-        i, j, k = tri[idx, 0], tri[idx, 1], tri[idx, 2]
-        z_ik = z[i, k] if z[i, k] > 0.0 else 0.0
-        z_ij = z[i, j] if z[i, j] > 0.0 else 0.0
-        z_jk = z[j, k] if z[j, k] > 0.0 else 0.0
-        if half == 1.0:
-            h = z_ik - z_ij - z_jk
-            d_ik = 1.0
-            d_ij = 1.0
-            d_jk = 1.0
-        else:
-            h = z_ik**half - z_ij**half - z_jk**half
-            f_ik = z_ik if z_ik > floor else floor
-            f_ij = z_ij if z_ij > floor else floor
-            f_jk = z_jk if z_jk > floor else floor
-            d_ik = half * f_ik ** (half - 1.0)
-            d_ij = half * f_ij ** (half - 1.0)
-            d_jk = half * f_jk ** (half - 1.0)
-        act_t = nu[idx] + rho * h
-        if act_t < 0.0:
-            act_t = 0.0
-        val += (act_t * act_t - nu[idx] * nu[idx]) / (2.0 * rho)
-        if act_t != 0.0:
-            m[i, k] += 0.5 * act_t * d_ik
-            m[k, i] += 0.5 * act_t * d_ik
-            m[i, j] -= 0.5 * act_t * d_ij
-            m[j, i] -= 0.5 * act_t * d_ij
-            m[j, k] -= 0.5 * act_t * d_jk
-            m[k, j] -= 0.5 * act_t * d_jk
-    # Z = 1 - V V^T, so dF/dV = -2 * (dF/dZ) V
-    grad = -2.0 * (m @ v)
-    return val, grad
-
-
-def _al_eval(v, c_mat, rhs, p, mu, rho, tri, nu, floor, need_grad=True):
-    """Augmented-Lagrangian value (and V-gradient) at factor v."""
+def _al_eval(v, c_mat, rhs, p, mu, rho, tri, nu, floor):
+    """Augmented-Lagrangian value and V-gradient at factor v."""
     z = z_of_factor(v)
     val = float(np.vdot(c_mat, z))
     s = spread_sum(z) - rhs
     # inequality s >= 0 with multiplier mu
     act_s = max(0.0, mu - rho * s)
     val += (act_s * act_s - mu * mu) / (2.0 * rho)
+    m = c_mat
+    if act_s != 0.0:
+        m = m + (-act_s) * 0.5 * (1.0 - np.eye(v.shape[0]))
     if len(tri):
         h, d_ik, d_ij, d_jk = _triangle_terms(z, tri, p, floor)
-        act_t = np.maximum(0.0, nu + rho * h)
-        val += float(np.sum(act_t * act_t - nu * nu)) / (2.0 * rho)
-    if not need_grad:
-        return val, None, s, None
-    n = v.shape[0]
-    m = c_mat.copy()
-    if act_s != 0.0:
-        m = m + (-act_s) * 0.5 * (1.0 - np.eye(n))
-    h_out = None
-    if len(tri):
-        h_out = h
-        coef = act_t
+        coef = np.maximum(0.0, nu + rho * h)
+        val += float(np.sum(coef * coef - nu * nu)) / (2.0 * rho)
         if np.any(coef != 0.0):
             i, j, k = tri[:, 0], tri[:, 1], tri[:, 2]
             add = np.zeros_like(m)
@@ -251,8 +186,7 @@ def _al_eval(v, c_mat, rhs, p, mu, rho, tri, nu, floor, need_grad=True):
             np.add.at(add, (j, k), -0.5 * coef * d_jk)
             m = m + add + add.T
     # Z = 1 - V V^T, so dF/dV = -2 * (dF/dZ) V
-    grad = -2.0 * (m @ v)
-    return val, grad, s, h_out
+    return val, -2.0 * (m @ v)
 
 
 def _riemannian(grad, v):
@@ -269,27 +203,14 @@ def _al_round(v, c_mat, rhs, p, mu, rho, tri, nu, floor, max_evals):
     do the line-search work.  Returns (v, evals used, converged flag)."""
     n, d = v.shape
 
-    if HAVE_NUMBA:
-
-        def fun(w_flat):
-            w = w_flat.reshape(n, d)
-            norms = np.sqrt(np.sum(w * w, axis=1))[:, None]
-            norms[norms == 0.0] = 1.0
-            u = w / norms
-            val, grad_u = _al_eval_fast(u, c_mat, rhs, p, mu, rho, tri, nu, floor)
-            grad_w = _riemannian(grad_u, u) / norms
-            return val, grad_w.ravel()
-
-    else:
-
-        def fun(w_flat):
-            w = w_flat.reshape(n, d)
-            norms = np.linalg.norm(w, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            u = w / norms
-            val, grad_u, _, _ = _al_eval(u, c_mat, rhs, p, mu, rho, tri, nu, floor)
-            grad_w = _riemannian(grad_u, u) / norms
-            return val, grad_w.ravel()
+    def fun(w_flat):
+        w = w_flat.reshape(n, d)
+        norms = np.linalg.norm(w, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        u = w / norms
+        val, grad_u = _al_eval(u, c_mat, rhs, p, mu, rho, tri, nu, floor)
+        grad_w = _riemannian(grad_u, u) / norms
+        return val, grad_w.ravel()
 
     val0 = fun(v.ravel())[0]
     res = scipy_minimize(
@@ -313,83 +234,72 @@ def minimize_linear_zform(
     *,
     tol=1e-6,
     max_iter=50000,
-    triangle_batch=None,
     seed=0,
-    jitter=1e-4,
     max_rounds=80,
-    inner_steps=120,
 ):
     """Minimize <C, Z> over the exponent-p feasible region, warm-started at z0.
 
     Returns the best feasible iterate seen (z0 itself counts when feasible);
     raises NonconvergedError if no iterate ever satisfied the constraints
-    within tol.
+    within tol.  The result is marked unconverged when the loop stopped at
+    max_rounds or max_iter instead of settling on a stable feasible value.
     """
     c_mat = symmetrize(np.asarray(c_mat, dtype=float))
     rng = np.random.default_rng(seed)
-    if triangle_batch is None:
-        triangle_batch = max(n, 4)
+    batch = max(n, MIN_NEW_TRIANGLES)
     # rescale the objective so step sizes and penalties are scale-free
     cscale = float(np.linalg.norm(c_mat))
     c_unit = c_mat / cscale if cscale > 0.0 else c_mat
 
-    def z_feasibility(z):
-        slack = spread_sum(z) - rhs
-        tri_viol = max_triangle_violation_z(z, p)
-        return slack, tri_viol
-
-    best = None
-
-    def consider(z):
-        nonlocal best
-        slack, tri_viol = z_feasibility(z)
-        if slack >= -tol and tri_viol <= tol:
-            val = float(np.vdot(c_mat, z))
-            if best is None or val < best[0]:
-                best = (val, z.copy(), slack, tri_viol)
-            return True
-        return False
-
     z0 = np.asarray(z0, dtype=float)
-    consider(z0)
+    slack0 = spread_sum(z0) - rhs
+    tri_viol0 = max_triangle_violation_z(z0, p)
+    best = None  # (value, z, spread slack, triangle violation)
+    if slack0 >= -tol and tri_viol0 <= tol:
+        best = (float(np.vdot(c_mat, z0)), z0.copy(), slack0, tri_viol0)
 
     # Start strictly inside: exact cut matrices are antipodal configurations,
     # which are critical points of any linear objective on the sphere manifold;
     # blending toward the orthonormal pattern breaks the saddle.
     z_interior = 1.0 - np.eye(n)
     z_start = 0.7 * z0 + 0.3 * z_interior
-    v = factor_correlation(1.0 - z_start, jitter, rng)
+    v = factor_correlation(1.0 - z_start, JITTER, rng)
     mu = 0.0
     tri = np.zeros((0, 3), dtype=np.int64)
     nu = np.zeros(0)
     rho = 1.0
     used = 0
     rounds = 0
+    converged = False
     prev_infeas = np.inf
     prev_val = np.inf
     stable = 0
     feas_streak = 0
     while used < max_iter and rounds < max_rounds:
         rounds += 1
-        budget = min(inner_steps, max_iter - used)
+        budget = min(INNER_STEPS, max_iter - used)
         v, took, pgd_conv = _al_round(
             v, c_unit, rhs, p, mu, rho, tri, nu, Z_FLOOR, budget
         )
         used += max(took, 1)
         z = z_of_factor(v)
         slack = spread_sum(z) - rhs
+        # one triangle pass per round: the scan is empty exactly when the
+        # largest violation is within tol, and otherwise leads with it
         violations = scan_triangle_violations(z, p, tol)
         infeas = max(0.0, -slack) + (violations[0][0] if violations else 0.0)
-        feasible_now = consider(z)
+        feasible_now = slack >= -tol and not violations
         val_now = float(np.vdot(c_mat, z))
+        if feasible_now and (best is None or val_now < best[0]):
+            best = (val_now, z.copy(), slack, max_triangle_violation_z(z, p))
         if (
             pgd_conv
             and feasible_now
-            and not violations
             and abs(prev_val - val_now) <= tol * (1.0 + abs(val_now))
         ):
             stable += 1
             if stable >= 2:
+                converged = True
                 break
         else:
             stable = 0
@@ -406,7 +316,7 @@ def minimize_linear_zform(
             if (i, j, k) not in existing:
                 fresh.append((i, j, k))
                 existing.add((i, j, k))
-            if len(fresh) >= triangle_batch:
+            if len(fresh) >= batch:
                 break
         if fresh:
             tri = np.vstack([tri, np.asarray(fresh, dtype=np.int64)])
@@ -437,5 +347,5 @@ def minimize_linear_zform(
         spread_slack=slack,
         max_triangle_violation=tri_viol,
         active_triangles=len(tri),
-        feasible=True,
+        converged=converged,
     )

@@ -173,7 +173,7 @@ def test_criterion_6_rounding_correctness(pipeline_runs):
         c_prime = C / 4.0
         assert k >= c_prime * g.n and g.n - k >= c_prime * g.n, (name, p, seed)
         # replay the successful attempt to recover the separated sets
-        params = RoundingParams(delta=rep.delta, sigma=1.0, c_prime=c_prime, seed=seed)
+        params = RoundingParams(delta=rep.delta, sigma=1.0, c_prime=c_prime)
         found = modified_set_find(emb, p, params, attempt_rng(seed, rep.attempts - 1))
         assert found.success, (name, p, seed)
         ok, worst = check_separated(

@@ -60,6 +60,7 @@ def test_solve_p2_writes_matrix(c4_file, tmp_path, capsys):
     assert code == 0
     assert record["results"]["relaxation_value"] <= 2.0 + 1e-5
     assert record["results"]["matrix_kind"] == "gram"
+    assert record["results"]["converged"] is True
     doc = json.loads(out_matrix.read_text())
     assert doc["n"] == 4
     assert len(doc["matrix"]) == 4
@@ -76,6 +77,7 @@ def test_solve_p1_emits_z(c4_file, tmp_path, capsys):
     )
     assert code == 0
     assert record["results"]["matrix_kind"] == "z"
+    assert record["results"]["converged"] is True
     assert record["results"]["relaxation_value"] <= 2.0 + 1e-5
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepkit import solver_core as core
 from sepkit.corpus import cycle_graph, gnp_graph, path_graph
 from sepkit.embeddings import (
     Embedding,
@@ -125,6 +126,25 @@ def test_triangle_check_is_exponent_specific():
     rep_two = check_feasibility(e, RelaxationParams(2.0, 0.25))
     assert rep_half.max_triangle_violation <= 1e-12
     assert rep_two.max_triangle_violation > 1e-3
+
+
+def test_triangle_check_is_exact_beyond_64_vertices():
+    # 120 unit vectors: three on a circle at 30, 0 and -30 degrees, the rest
+    # orthonormal to them and to each other.  At p = 2 the only violated
+    # ordered triples are (0, 1, 2) and (2, 1, 0): the obtuse angle at vertex 1
+    n = 120
+    v = np.zeros((n, n - 1))
+    for i, deg in enumerate((30.0, 0.0, -30.0)):
+        v[i, :2] = np.cos(np.radians(deg)), np.sin(np.radians(deg))
+    v[3:, 2:] = np.eye(n - 3)
+    found = core.scan_triangle_violations(1.0 - v @ v.T, 2.0, 1e-9)
+    assert [t[1:] for t in found] == [(0, 1, 2)]
+    # squared-distance violation -2 <v0 - v1, v2 - v1>
+    s, c = np.sin(np.radians(30.0)), np.cos(np.radians(30.0))
+    expected = 2.0 * (s * s - (1.0 - c) ** 2)
+    rep = check_feasibility(Embedding(v), RelaxationParams(2.0, 0.25))
+    assert rep.max_triangle_violation == pytest.approx(expected, abs=1e-9)
+    assert not rep.feasible
 
 
 def test_gram_from_embedding_blocks():

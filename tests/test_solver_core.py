@@ -1,27 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sepkit import solver_core as core
-
-
-def random_factor(n, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((n, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-@pytest.mark.skipif(not core.HAVE_NUMBA, reason="jitted kernel absent")
-def test_jitted_eval_matches_reference():
-    rng = np.random.default_rng(0)
-    tri = np.array([[0, 1, 2], [3, 4, 5], [1, 3, 6]], dtype=np.int64)
-    nu = np.array([0.5, 0.0, 1.2])
-    for p in (0.5, 1.0, 1.5, 2.0):
-        v = random_factor(8, int(p * 10))
-        c_mat = core.symmetrize(rng.standard_normal((8, 8)))
-        val_fast, grad_fast = core._al_eval_fast(v, c_mat, 20.0, p, 0.7, 3.0, tri, nu, 1e-8)
-        val_ref, grad_ref, _, _ = core._al_eval(v, c_mat, 20.0, p, 0.7, 3.0, tri, nu, 1e-8)
-        assert val_fast == pytest.approx(val_ref, abs=1e-12)
-        assert np.max(np.abs(grad_fast - grad_ref)) <= 1e-12
+from sepkit.corpus import cycle_graph
+from sepkit.embeddings import zform_spread_requirement
+from sepkit.sdp import cut_z_matrix, objective_matrix
 
 
 def test_factor_correlation_unit_rows_full_width():
@@ -46,6 +31,37 @@ def test_scan_canonicalizes_and_sorts():
     assert [tuple(t[1:]) for t in found[:2]] == [(0, 1, 3), (0, 2, 3)]
     assert all(i < k for _, i, _, k in found)
     assert found[0][0] == pytest.approx(1.4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((0.5, 1.0, 1.5, 2.0)),
+    tol=st.sampled_from((0.0, 1e-9, 1e-6, 0.1)),
+    data=st.data(),
+)
+def test_scan_agrees_with_max_violation(p, tol, data):
+    # the solver decides feasibility from the scan alone, so the scan must be
+    # empty exactly when the maximum is within tol, and lead with the maximum
+    n = data.draw(st.integers(3, 7))
+    a = data.draw(arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
+    z = a + a.T
+    found = core.scan_triangle_violations(z, p, tol)
+    worst = core.max_triangle_violation_z(z, p)
+    assert bool(found) == (worst > tol)
+    if found:
+        assert found[0][0] == worst
+
+
+def test_round_cap_marks_result_unconverged():
+    g = cycle_graph(8)
+    args = (objective_matrix(g), g.n, 2.0, zform_spread_requirement(g.n, 0.25),
+            cut_z_matrix(g, {0, 1, 2, 3}))
+    capped = core.minimize_linear_zform(*args, max_rounds=2)
+    assert capped.rounds == 2
+    assert not capped.converged
+    settled = core.minimize_linear_zform(*args)
+    assert settled.rounds < 80
+    assert settled.converged
 
 
 def test_nonconverged_error_carries_best_iterate():
