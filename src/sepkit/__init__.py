@@ -1,6 +1,8 @@
 """sepkit: a solver and verification lab for the balanced-separator relaxation
 family, its concave reformulation, and projection rounding."""
 
+__version__ = "0.1.0"
+
 from .graphs import (
     BRUTE_FORCE_CAP,
     CapExceededError,
@@ -26,6 +28,7 @@ from .embeddings import (
     RelaxationParams,
     ZForm,
     check_feasibility,
+    check_feasibility_z,
     cut_to_embedding,
     embedding_from_gram,
     gram_from_embedding,
@@ -63,5 +66,3 @@ from .rounding import (
     produce_cut,
 )
 from .solver_core import NonconvergedError
-
-__version__ = "0.1.0"

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .concave import ConcaveOptions, solve_concave
@@ -115,6 +114,7 @@ def cmd_solve(args):
             "max_unit_violation": report.residuals.max_unit_violation,
             "max_triangle_violation": report.residuals.max_triangle_violation,
             "spread_slack": report.residuals.spread_slack,
+            "min_eigenvalue": report.residuals.min_eigenvalue,
         },
     )
     _emit(record, args.out)
@@ -156,18 +156,13 @@ def cmd_pipeline(args):
         paths = sorted(Path(args.batch).glob("*.txt"))
         if not paths:
             raise FileNotFoundError(f"no *.txt graphs under {args.batch}")
-
-        def run(item):
-            idx, path = item
-            g = _read_graph(path)
+        rows = []
+        for idx, path in enumerate(paths):
             sub_args = argparse.Namespace(**vars(args))
             sub_args.seed = args.seed + idx
             sub_args.embedding = None
-            _, results = _run_single_pipeline(g, path.name, sub_args)
-            return results
-
-        with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-            rows = list(pool.map(run, enumerate(paths)))
+            _, results = _run_single_pipeline(_read_graph(path), path.name, sub_args)
+            rows.append(results)
         if args.records_dir:
             rec_dir = Path(args.records_dir)
             rec_dir.mkdir(parents=True, exist_ok=True)
@@ -293,7 +288,6 @@ def build_parser():
     sp.add_argument("--starts", type=int, default=4)
     sp.add_argument("--embedding", help="embedding JSON to round (skips the solve)")
     sp.add_argument("--relaxation-value", type=float)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out")
     sp.add_argument("--out-csv")
     sp.add_argument("--records-dir", help="batch mode: write one record JSON per graph")

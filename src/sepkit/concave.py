@@ -24,9 +24,7 @@ from . import solver_core as core
 from .embeddings import (
     RelaxationParams,
     ZForm,
-    check_feasibility,
-    embedding_from_gram,
-    gram_from_z,
+    check_feasibility_z,
     objective_z,
     zform_spread_requirement,
 )
@@ -255,15 +253,11 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
         )
     value, z, _ = best
     zform = ZForm(z)
-    residuals = check_feasibility(
-        embedding_from_gram(gram_from_z(zform)),
-        RelaxationParams(p, c),
-        tol_triangle=2e-6,
-        tol_spread=2e-6,
-    )
     report = SolveReport(
         value=value,
-        residuals=residuals,
+        residuals=check_feasibility_z(
+            zform.matrix, RelaxationParams(p, c), TIGHT_TOL, TIGHT_TOL
+        ),
         iterations=total_iter,
         wall_time=time.perf_counter() - t0,
         seed=opts.seed,

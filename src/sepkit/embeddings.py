@@ -8,12 +8,12 @@ is pure and immutable; solvers build on these conversions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graphs import Graph, Cut
-from .solver_core import triangle_slabs
+from .solver_core import max_triangle_violation_z, spread_sum
 
 TOL_UNIT = 1e-8
 TOL_TRIANGLE = 1e-8
@@ -150,9 +150,15 @@ class ZForm:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """Constraint residuals in vector units: the largest unit-norm deviation,
+    the largest violation of ||v_i - v_k||^p <= ||v_i - v_j||^p +
+    ||v_j - v_k||^p, the spread's margin over 4c(1-c)n^2, and the smallest
+    eigenvalue of the Gram matrix X = 1 - Z."""
+
     max_unit_violation: float
     max_triangle_violation: float
     spread_slack: float
+    min_eigenvalue: float
     feasible: bool
 
 
@@ -185,12 +191,27 @@ def spread_requirement(n: int, c: float) -> float:
     return 4.0 * c * (1.0 - c) * n * n
 
 
-def max_triangle_violation(dist_pow: np.ndarray) -> float:
-    """Largest D[i,k] - D[i,j] - D[j,k] over ordered triples of a symmetric
-    nonnegative matrix: an exact n^3 scan at every n."""
-    if dist_pow.shape[0] < 3:
-        return 0.0
-    return max(float(slab.max()) for _, slab in triangle_slabs(dist_pow))
+def check_feasibility_z(z, params: RelaxationParams, tol_triangle, tol_spread):
+    """Residuals of a Z matrix, judged in Z units, where the solvers enforce
+    their tolerance: zero diagonal, sum_{i<j} z_ij >= 2c(1-c)n^2 within
+    tol_spread, z_ik^{p/2} <= z_ij^{p/2} + z_jk^{p/2} within tol_triangle
+    (an exact n^3 scan), and no eigenvalue of X = 1 - Z below -TOL_PSD.
+
+    Reported in vector units, where ||v_i - v_j||^2 = 2 z_ij: the spread
+    slack times 2 and the triangle violation times 2^{p/2}.
+    """
+    z = np.asarray(z, dtype=float)
+    unit = float(np.max(np.abs(np.sqrt(np.maximum(1.0 - np.diag(z), 0.0)) - 1.0)))
+    tri = max_triangle_violation_z(z, params.p)
+    slack = spread_sum(z) - zform_spread_requirement(z.shape[0], params.c)
+    min_eig = float(np.linalg.eigvalsh(1.0 - z)[0])
+    ok = (
+        unit <= TOL_UNIT
+        and tri <= tol_triangle
+        and slack >= -tol_spread
+        and min_eig >= -TOL_PSD
+    )
+    return FeasibilityReport(unit, 2.0 ** (params.p / 2.0) * tri, 2.0 * slack, min_eig, ok)
 
 
 def check_feasibility(
@@ -200,15 +221,15 @@ def check_feasibility(
     tol_triangle: float = TOL_TRIANGLE,
     tol_spread: float = TOL_SPREAD,
 ) -> FeasibilityReport:
-    """Residuals of the three constraint families at exponent params.p:
-    unit norms, the l2^p triangle inequality over ordered triples, and the
-    all-pairs spread lower bound."""
+    """Residuals of an embedding at exponent params.p, tolerances in vector
+    units: the vector norms, then check_feasibility_z on z_ij =
+    ||v_i - v_j||^2 / 2."""
     unit = float(np.max(np.abs(e.norms() - 1.0)))
-    dist = e.distance_matrix()
-    tri = max_triangle_violation(dist**params.p)
-    slack = spread(e) - spread_requirement(e.n, params.c)
-    ok = unit <= tol_unit and tri <= tol_triangle and slack >= -tol_spread
-    return FeasibilityReport(unit, tri, slack, ok)
+    d = e.distance_matrix()
+    rep = check_feasibility_z(
+        d * d / 2.0, params, tol_triangle / 2.0 ** (params.p / 2.0), tol_spread / 2.0
+    )
+    return replace(rep, max_unit_violation=unit, feasible=rep.feasible and unit <= tol_unit)
 
 
 def gram_from_embedding(e: Embedding) -> GramForm:

@@ -10,8 +10,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
+
 SCHEMA_VERSION = "1"
-PACKAGE_VERSION = "0.1.0"
 
 
 def experiment_record(command: str, config: dict, results: dict) -> dict:
@@ -24,7 +25,7 @@ def experiment_record(command: str, config: dict, results: dict) -> dict:
         "config": config,
         "results": results,
         "versions": {
-            "sepkit": PACKAGE_VERSION,
+            "sepkit": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },

@@ -235,9 +235,7 @@ class PipelineOptions:
     rounding: RoundingParams = RoundingParams()
     retries: int = 64
     seed: int = 0
-    solver_seed: int | None = None  # None: use seed
     starts: int = 4  # concave multistart width
-    exact_cap: int = BRUTE_FORCE_CAP
 
 
 def attempt_rng(seed: int, attempt: int):
@@ -261,19 +259,18 @@ def pipeline(
     """
     if len(balanced_size_range(g.n, c)) == 0:
         raise InfeasibleBalanceError(f"no c-balanced subset size for c={c}, n={g.n}")
-    solver_seed = opts.seed if opts.solver_seed is None else opts.solver_seed
     if embedding is None or relaxation_value is None:
         if p == 2.0:
             from .sdp import SdpOptions, solve_sdp
 
-            x, rep = solve_sdp(g, c, SdpOptions(seed=solver_seed))
+            x, rep = solve_sdp(g, c, SdpOptions(seed=opts.seed))
             embedding = embedding_from_gram(x)
             relaxation_value = rep.value
         else:
             from .concave import ConcaveOptions, solve_concave
 
             zf, rep = solve_concave(
-                g, c, p, ConcaveOptions(starts=opts.starts, seed=solver_seed)
+                g, c, p, ConcaveOptions(starts=opts.starts, seed=opts.seed)
             )
             embedding = embedding_from_gram(gram_from_z(zf))
             relaxation_value = rep.value
@@ -285,8 +282,8 @@ def pipeline(
     params = replace(params, delta=delta)
 
     exact = None
-    if g.n <= opts.exact_cap:
-        _, exact = exact_balanced_separator(g, c, cap=opts.exact_cap)
+    if g.n <= BRUTE_FORCE_CAP:
+        _, exact = exact_balanced_separator(g, c)
 
     for attempt in range(opts.retries):
         rng = attempt_rng(opts.seed, attempt)

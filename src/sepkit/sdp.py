@@ -19,8 +19,7 @@ from .embeddings import (
     FeasibilityReport,
     GramForm,
     RelaxationParams,
-    check_feasibility,
-    embedding_from_gram,
+    check_feasibility_z,
     gram_from_z,
     zform_spread_requirement,
     ZForm,
@@ -104,32 +103,26 @@ def solve_sdp(g: Graph, c: float, opts: SdpOptions = SdpOptions()):
     rhs = zform_spread_requirement(g.n, c)
     # z-space residuals are half the squared-distance residuals, so run the
     # core at tol/2 to honour opts.tol in the vector form
+    tol = opts.tol / 2.0
     result = core.minimize_linear_zform(
         objective_matrix(g),
         g.n,
         2.0,
         rhs,
         z0,
-        tol=opts.tol / 2.0,
+        tol=tol,
         max_iter=opts.max_iter,
         seed=opts.seed,
     )
-    x = gram_from_z(ZForm(result.z))
-    residuals = check_feasibility(
-        embedding_from_gram(x),
-        RelaxationParams(2.0, c),
-        tol_triangle=opts.tol,
-        tol_spread=opts.tol,
-    )
     report = SolveReport(
         value=result.value,
-        residuals=residuals,
+        residuals=check_feasibility_z(result.z, RelaxationParams(2.0, c), tol, tol),
         iterations=result.iterations,
         wall_time=time.perf_counter() - t0,
         seed=opts.seed,
         converged=result.converged,
     )
-    return x, report
+    return gram_from_z(ZForm(result.z)), report
 
 
 def violated_triangles(x: GramForm, tol: float):

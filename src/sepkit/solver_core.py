@@ -43,8 +43,6 @@ class CoreResult:
     value: float
     iterations: int
     rounds: int
-    spread_slack: float
-    max_triangle_violation: float
     active_triangles: int
     converged: bool  # False when the loop stopped at max_rounds or max_iter
 
@@ -252,11 +250,9 @@ def minimize_linear_zform(
     c_unit = c_mat / cscale if cscale > 0.0 else c_mat
 
     z0 = np.asarray(z0, dtype=float)
-    slack0 = spread_sum(z0) - rhs
-    tri_viol0 = max_triangle_violation_z(z0, p)
-    best = None  # (value, z, spread slack, triangle violation)
-    if slack0 >= -tol and tri_viol0 <= tol:
-        best = (float(np.vdot(c_mat, z0)), z0.copy(), slack0, tri_viol0)
+    best = None  # (value, z)
+    if spread_sum(z0) - rhs >= -tol and max_triangle_violation_z(z0, p) <= tol:
+        best = (float(np.vdot(c_mat, z0)), z0.copy())
 
     # Start strictly inside: exact cut matrices are antipodal configurations,
     # which are critical points of any linear objective on the sphere manifold;
@@ -291,7 +287,7 @@ def minimize_linear_zform(
         feasible_now = slack >= -tol and not violations
         val_now = float(np.vdot(c_mat, z))
         if feasible_now and (best is None or val_now < best[0]):
-            best = (val_now, z.copy(), slack, max_triangle_violation_z(z, p))
+            best = (val_now, z.copy())
         if (
             pgd_conv
             and feasible_now
@@ -338,14 +334,12 @@ def minimize_linear_zform(
             f"no feasible iterate within tol={tol} after {used} steps",
             best_z=z_of_factor(v),
         )
-    val, z, slack, tri_viol = best
+    val, z = best
     return CoreResult(
         z=z,
         value=val,
         iterations=used,
         rounds=rounds,
-        spread_slack=slack,
-        max_triangle_violation=tri_viol,
         active_triangles=len(tri),
         converged=converged,
     )

@@ -18,7 +18,9 @@ from .concave import ConcaveOptions, check_concavity, solve_concave
 from .corpus import complete_bipartite, complete_graph, cycle_graph, gnp_graph, path_graph
 from .embeddings import (
     Embedding,
+    RelaxationParams,
     ZForm,
+    check_feasibility_z,
     embedding_from_gram,
     gram_from_embedding,
     gram_from_z,
@@ -62,14 +64,6 @@ def random_feasible_z(g: Graph, c: float, p: float, rng) -> np.ndarray:
     return z
 
 
-def _z_feasibility_violations(z: np.ndarray, c: float, p: float):
-    n = z.shape[0]
-    spread_short = max(0.0, zform_spread_requirement(n, c) - core.spread_sum(z))
-    tri = core.max_triangle_violation_z(z, p)
-    min_eig = float(np.linalg.eigvalsh(1.0 - z)[0])
-    return spread_short, tri, min_eig
-
-
 def suite_concavity(seed: int = 0, samples: int = 1000, slack: float = 1e-9) -> SuiteResult:
     """objective_z is concave along segments between feasible points."""
     res = SuiteResult("concavity", True)
@@ -99,21 +93,24 @@ def suite_convexity(seed: int = 0, samples: int = 1000, slack: float = 1e-9) -> 
     g = cycle_graph(8)
     rng = np.random.default_rng(seed)
     for p in (0.5, 1.0, 1.5):
-        worst_spread = 0.0
+        params = RelaxationParams(p, 0.25)
+        ok = True
+        worst_spread = worst_eig = np.inf
         worst_tri = 0.0
-        worst_eig = np.inf
         for _ in range(samples):
             z1 = random_feasible_z(g, 0.25, p, rng)
             z2 = random_feasible_z(g, 0.25, p, rng)
             lam = float(rng.random())
             mix = lam * z1 + (1.0 - lam) * z2
-            spread_short, tri, min_eig = _z_feasibility_violations(mix, 0.25, p)
-            worst_spread = max(worst_spread, spread_short)
-            worst_tri = max(worst_tri, tri)
-            worst_eig = min(worst_eig, min_eig)
+            # spread and triangles judged at slack in Z units, PSD at -slack
+            rep = check_feasibility_z(mix, params, slack, slack)
+            ok = ok and rep.feasible and rep.min_eigenvalue >= -slack
+            worst_spread = min(worst_spread, rep.spread_slack)
+            worst_tri = max(worst_tri, rep.max_triangle_violation)
+            worst_eig = min(worst_eig, rep.min_eigenvalue)
         res.add(
-            worst_spread <= slack and worst_tri <= slack and worst_eig >= -slack,
-            f"p={p}: spread short {worst_spread:.1e}, triangle viol {worst_tri:.1e}, "
+            ok,
+            f"p={p}: spread slack {worst_spread:.1e}, triangle viol {worst_tri:.1e}, "
             f"min eig {worst_eig:.1e}",
         )
     return res

@@ -117,7 +117,7 @@ def test_pipeline_batch_csv_and_records(tmp_path, capsys):
     code = main(
         [
             "pipeline", "--batch", str(tmp_path), "--p", "2", "--c", "0.25",
-            "--out-csv", str(out_csv), "--jobs", "2",
+            "--out-csv", str(out_csv),
             "--records-dir", str(rec_dir),
         ]
     )

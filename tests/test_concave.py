@@ -117,6 +117,16 @@ def test_solve_concave_sound_on_small_graphs():
             assert rep.value <= alpha + 1e-5
 
 
+def test_solve_concave_reports_returned_z_feasible():
+    # corpus graph gnp6_seed6 at p = 0.5: the returned Z violates no
+    # constraint by more than the solver's 1e-6, but the distances of a
+    # re-factored embedding, raised to p = 0.5, amplified round-off at
+    # coincident vertices to about 1.2e-4 and flagged it infeasible
+    _, rep = solve_concave(gnp_graph(6, 0.5, 6), C, 0.5, ConcaveOptions(starts=4, seed=0))
+    assert rep.residuals.feasible
+    assert rep.residuals.max_triangle_violation <= 2.0**0.25 * 1e-6
+
+
 def test_solve_concave_k3_matches_spread_tight_optimum():
     # the extreme point (0, s, s) with 2s = 2c(1-c)9 gives 2 sqrt(s/2)
     g = complete_graph(3)

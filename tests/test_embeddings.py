@@ -8,9 +8,12 @@ from sepkit.embeddings import (
     Embedding,
     GramForm,
     NotPsdError,
+    TOL_SPREAD,
+    TOL_TRIANGLE,
     RelaxationParams,
     ZForm,
     check_feasibility,
+    check_feasibility_z,
     cut_to_embedding,
     embedding_from_gram,
     gram_from_embedding,
@@ -21,6 +24,7 @@ from sepkit.embeddings import (
     z_from_gram,
 )
 from sepkit.graphs import Cut, Graph, brute_force_cut_values
+from sepkit.sdp import cut_z_matrix
 
 P_GRID = (0.5, 1.0, 1.5, 2.0)
 
@@ -145,6 +149,67 @@ def test_triangle_check_is_exact_beyond_64_vertices():
     rep = check_feasibility(Embedding(v), RelaxationParams(2.0, 0.25))
     assert rep.max_triangle_violation == pytest.approx(expected, abs=1e-9)
     assert not rep.feasible
+
+
+def test_z_report_flags_each_broken_constraint():
+    # a cut Z is feasible; each broken constraint family is named, in vector
+    # units (spread slack x2, triangle violation x2^{p/2})
+    params = RelaxationParams(1.5, 0.25)
+    cut = cut_z_matrix(cycle_graph(4), {0, 1})
+    rep = check_feasibility_z(cut, params, 1e-6, 1e-6)
+    assert rep.feasible
+    assert rep.spread_slack == pytest.approx(2.0 * (8.0 - 6.0))
+
+    # spread: halving the cut Z keeps X = 1 - Z a PSD block of ones and
+    # every power triangle, but the pair sum drops from 8 to 4 < 6
+    rep = check_feasibility_z(cut / 2.0, params, 1e-6, 1e-6)
+    assert not rep.feasible
+    assert rep.spread_slack == pytest.approx(2.0 * (4.0 - 6.0))
+    assert rep.max_triangle_violation <= 1e-12
+    assert rep.min_eigenvalue >= -1e-12
+
+    # power triangle: turn vertex 1 to 60 degrees and vertex 2 to 120, so
+    # ||v0 - v2||^2 = 3 and ||v0 - v1||^2 = ||v1 - v2||^2 = 1
+    angles = np.radians([0.0, 60.0, 120.0, 180.0])
+    v = np.column_stack([np.cos(angles), np.sin(angles)])
+    bent = z_from_gram(gram_from_embedding(Embedding(v))).matrix
+    rep = check_feasibility_z(bent, params, 1e-6, 1e-6)
+    assert not rep.feasible
+    assert rep.max_triangle_violation == pytest.approx(3.0**0.75 - 2.0, abs=1e-12)
+    assert rep.spread_slack == pytest.approx(2.0 * (6.5 - 6.0), abs=1e-12)
+    assert rep.min_eigenvalue >= -1e-12
+
+    # PSD: make all four vertices pairwise antipodal; triangles and spread
+    # still hold, but X = 2I - J has the eigenvalue -2
+    apart = 2.0 * (1.0 - np.eye(4))
+    rep = check_feasibility_z(apart, params, 1e-6, 1e-6)
+    assert not rep.feasible
+    assert rep.min_eigenvalue == pytest.approx(-2.0)
+    assert rep.max_triangle_violation <= 1e-12
+    assert rep.spread_slack == pytest.approx(2.0 * (12.0 - 6.0))
+
+
+@given(
+    st.integers(2, 8),
+    st.integers(1, 8),
+    st.integers(0, 10_000),
+    st.sampled_from(P_GRID),
+    st.sampled_from((0.25, 0.5)),
+)
+@settings(max_examples=100, deadline=None)
+def test_check_feasibility_matches_z_report_of_gram(n, d, seed, p, c):
+    e = Embedding(random_unit_vectors(n, d, seed))
+    params = RelaxationParams(p, c)
+    rep = check_feasibility(e, params)
+    rep_z = check_feasibility_z(
+        z_from_gram(gram_from_embedding(e)).matrix,
+        params,
+        TOL_TRIANGLE / 2.0 ** (p / 2.0),
+        TOL_SPREAD / 2.0,
+    )
+    for field in ("max_unit_violation", "max_triangle_violation", "spread_slack", "min_eigenvalue"):
+        assert abs(getattr(rep, field) - getattr(rep_z, field)) <= 1e-12
+    assert rep.feasible == rep_z.feasible
 
 
 def test_gram_from_embedding_blocks():

@@ -44,7 +44,7 @@ def test_linear_subproblem_hand_cases_two_vertices():
     res = core.minimize_linear_zform(-up, 2, 1.0, rhs, z0, seed=1)
     assert res.z[0, 1] == pytest.approx(2.0, abs=1e-6)
     res = core.minimize_linear_zform(np.zeros((2, 2)), 2, 1.0, rhs, z0, seed=1)
-    assert res.spread_slack >= -1e-6
+    assert core.spread_sum(res.z) - rhs >= -1e-6
     assert -1e-9 <= res.z[0, 1] <= 2.0 + 1e-9
 
 
