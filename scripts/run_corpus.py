@@ -10,12 +10,9 @@ import csv
 import sys
 import time
 
-from sepkit.concave import ConcaveOptions, solve_concave
-from sepkit.corpus import acceptance_corpus
-from sepkit.embeddings import embedding_from_gram, gram_from_z
-from sepkit.graphs import exact_balanced_separator
+from sepkit.corpus import acceptance_corpus, solve_corpus
+from sepkit.embeddings import embedding_from_gram
 from sepkit.rounding import PipelineOptions, pipeline
-from sepkit.sdp import SdpOptions, solve_sdp
 
 C = 0.25
 P_GRID = (0.5, 1.0, 1.5, 2.0)
@@ -30,48 +27,41 @@ def main():
     args = ap.parse_args()
 
     rows = []
-    t0 = time.time()
-    for name, g in acceptance_corpus():
-        _, alpha = exact_balanced_separator(g, C)
-        for p in P_GRID:
-            t1 = time.time()
-            if p == 2.0:
-                x, rep = solve_sdp(g, C, SdpOptions(seed=args.seed))
-                emb = embedding_from_gram(x)
-            else:
-                z, rep = solve_concave(
-                    g, C, p, ConcaveOptions(starts=args.starts, seed=args.seed)
-                )
-                emb = embedding_from_gram(gram_from_z(z))
-            succ = 0
-            ratios = []
-            for k in range(args.rounding_seeds):
-                out = pipeline(
-                    g, C, p, PipelineOptions(seed=args.seed + k),
-                    embedding=emb, relaxation_value=rep.value,
-                )
-                if out.succeeded:
-                    succ += 1
-                    ratios.append(out.ratio)
-            rows.append(
-                {
-                    "graph": name,
-                    "n": g.n,
-                    "m": g.m,
-                    "p": p,
-                    "alpha": alpha,
-                    "relaxation": round(rep.value, 6),
-                    "gap": round(alpha - rep.value, 6),
-                    "round_success": f"{succ}/{args.rounding_seeds}",
-                    "best_ratio": round(min(ratios), 4) if ratios else "",
-                    "solve_seconds": round(time.time() - t1, 2),
-                }
+    t0 = t1 = time.time()
+    for name, g, alpha, p, x, rep in solve_corpus(
+        acceptance_corpus(), C, P_GRID, seed=args.seed, starts=args.starts
+    ):
+        emb = embedding_from_gram(x)
+        succ = 0
+        ratios = []
+        for k in range(args.rounding_seeds):
+            out = pipeline(
+                g, C, p, PipelineOptions(seed=args.seed + k),
+                embedding=emb, relaxation_value=rep.value,
             )
-            print(
-                f"{name:>14} p={p:<4} alpha={alpha:<3} relax={rep.value:8.4f} "
-                f"rounded {succ}/{args.rounding_seeds}",
-                flush=True,
-            )
+            if out.succeeded:
+                succ += 1
+                ratios.append(out.ratio)
+        rows.append(
+            {
+                "graph": name,
+                "n": g.n,
+                "m": g.m,
+                "p": p,
+                "alpha": alpha,
+                "relaxation": round(rep.value, 6),
+                "gap": round(alpha - rep.value, 6),
+                "round_success": f"{succ}/{args.rounding_seeds}",
+                "best_ratio": round(min(ratios), 4) if ratios else "",
+                "solve_seconds": round(time.time() - t1, 2),
+            }
+        )
+        print(
+            f"{name:>14} p={p:<4} alpha={alpha:<3} relax={rep.value:8.4f} "
+            f"rounded {succ}/{args.rounding_seeds}",
+            flush=True,
+        )
+        t1 = time.time()
     print(f"total {time.time() - t0:.0f}s")
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -40,7 +40,7 @@ from .embeddings import (
     z_from_gram,
     zform_spread_requirement,
 )
-from .sdp import SdpOptions, SolveReport, solve_sdp, violated_triangles
+from .sdp import SdpOptions, SolveReport, solve_sdp
 from .concave import (
     ConcaveOptions,
     HessianSample,
@@ -49,9 +49,10 @@ from .concave import (
     grid_oracle_n3,
     hessian_f,
     hessian_quadratic_form,
-    linear_subproblem,
     solve_concave,
+    solve_relaxation,
 )
+from .corpus import solve_corpus
 from .rounding import (
     PipelineOptions,
     PipelineReport,

@@ -11,10 +11,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .concave import ConcaveOptions, solve_concave
-from .embeddings import Embedding, embedding_from_gram, gram_from_z, objective
+from .embeddings import Embedding, embedding_from_gram, gram_from_z
 from .graphs import (
     CapExceededError,
     GraphParseError,
@@ -110,11 +111,7 @@ def cmd_solve(args):
             "relaxation_value": report.value,
             "iterations": report.iterations,
             "converged": report.converged,
-            "feasible": report.residuals.feasible,
-            "max_unit_violation": report.residuals.max_unit_violation,
-            "max_triangle_violation": report.residuals.max_triangle_violation,
-            "spread_slack": report.residuals.spread_slack,
-            "min_eigenvalue": report.residuals.min_eigenvalue,
+            **asdict(report.residuals),
         },
     )
     _emit(record, args.out)
@@ -123,7 +120,7 @@ def cmd_solve(args):
 
 def _pipeline_options(args):
     rounding = RoundingParams(
-        delta=None if args.delta_auto or args.delta is None else args.delta,
+        delta=args.delta,
         sigma=args.sigma,
         c_prime=args.c_prime,
         b_const=args.b_const,
@@ -135,14 +132,10 @@ def _pipeline_options(args):
 
 def _run_single_pipeline(g, name, args):
     emb = None
-    value = None
     if args.embedding:
         emb = Embedding.from_json(Path(args.embedding).read_text())
-        value = args.relaxation_value
-        if value is None:
-            value = objective(g, emb, args.p)
-    report = pipeline(g, args.c, args.p, _pipeline_options(args), emb, value)
-    results = report.to_dict()
+    report = pipeline(g, args.c, args.p, _pipeline_options(args), emb, args.relaxation_value)
+    results = asdict(report)
     results["graph"] = name
     results["n"] = g.n
     results["m"] = g.m
@@ -280,7 +273,6 @@ def build_parser():
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--delta", type=float)
-    sp.add_argument("--delta-auto", action="store_true")
     sp.add_argument("--sigma", type=float, default=1.0)
     sp.add_argument("--c-prime", type=float, default=None)
     sp.add_argument("--b-const", type=float, default=1.0)

@@ -6,7 +6,8 @@ The solver runs multistart successive linearization: each step minimizes the
 tangent plane over the feasible region (via the shared first-order core) and
 moves there outright, which can only decrease a concave objective.  Descent
 steps use a loose feasibility tolerance; the returned point always comes from
-a tight solve.
+a tight solve.  `solve_relaxation` is the one entry point for every
+exponent: it sends p = 2 to the SDP solver and returns a Gram matrix either way.
 
 Also hosts the desk verifications of concavity: closed-form Hessian of
 f(x, y) = (x^(1/q) + y^(1/q))^q, its factored quadratic form, the sampling
@@ -22,9 +23,11 @@ import numpy as np
 
 from . import solver_core as core
 from .embeddings import (
+    GramForm,
     RelaxationParams,
     ZForm,
     check_feasibility_z,
+    gram_from_z,
     objective_z,
     zform_spread_requirement,
 )
@@ -102,30 +105,6 @@ def objective_gradient(g: Graph, z: np.ndarray, p: float, floor: float = GRAD_FL
         grad[i, j] += coef / 2.0
         grad[j, i] += coef / 2.0
     return grad
-
-
-def linear_subproblem(
-    grad,
-    g: Graph,
-    c: float,
-    inner_tol: float,
-    p: float,
-    z0=None,
-    seed: int = 0,
-) -> ZForm:
-    """Minimize <grad, Z> over the exponent-p feasible region; returns ZForm.
-
-    The region depends on p through the power-triangle inequalities, so the
-    exponent is an explicit argument.  z0 seeds the search (defaults to the
-    orthonormal pattern).
-    """
-    if z0 is None:
-        z0 = 1.0 - np.eye(g.n)
-    result = core.minimize_linear_zform(
-        np.asarray(grad, dtype=float), g.n, p, zform_spread_requirement(g.n, c),
-        np.asarray(z0, dtype=float), tol=min(inner_tol, 1e-6), seed=seed,
-    )
-    return ZForm(result.z)
 
 
 def _cut_start_members(g: Graph, c: float, starts: int, rng):
@@ -264,6 +243,22 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
         converged=converged,
     )
     return zform, report
+
+
+def solve_relaxation(
+    g: Graph, c: float, p: float, *, seed: int = 0, starts: int = 4
+) -> tuple[GramForm, SolveReport]:
+    """Solve the exponent-p program for any 0 < p <= 2; returns (GramForm,
+    SolveReport).
+
+    p = 2 runs `solve_sdp`; p < 2 runs `solve_concave` with `starts` and
+    converts its Z to the Gram matrix, so every exponent hands back the same
+    kind of matrix.
+    """
+    if p == 2.0:
+        return solve_sdp(g, c, SdpOptions(seed=seed))
+    z, report = solve_concave(g, c, p, ConcaveOptions(starts=starts, seed=seed))
+    return gram_from_z(z), report
 
 
 def hessian_f(x: float, y: float, q: float) -> HessianSample:

@@ -1,10 +1,12 @@
-"""Deterministic graph builders for experiments and the acceptance corpus."""
+"""Deterministic graph builders for experiments and the acceptance corpus,
+and the one loop that solves a corpus across an exponent grid."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph
+from .concave import solve_relaxation
+from .graphs import Graph, exact_balanced_separator
 
 
 def cycle_graph(n: int) -> Graph:
@@ -69,3 +71,17 @@ def acceptance_corpus():
         n = sizes[k % 3]
         named.append((f"gnp{n}_seed{k}", gnp_graph(n, 0.5, seed=k)))
     return named
+
+
+def solve_corpus(graphs, c: float, exponents, *, seed: int = 0, starts: int = 4):
+    """Solve every (name, graph) at every exponent in order.
+
+    Yields (name, g, alpha, p, x, report): alpha is the exact c-balanced
+    optimum, computed once per graph, and (x, report) is
+    `solve_relaxation(g, c, p, seed=seed, starts=starts)`.
+    """
+    for name, g in graphs:
+        _, alpha = exact_balanced_separator(g, c)
+        for p in exponents:
+            x, report = solve_relaxation(g, c, p, seed=seed, starts=starts)
+            yield name, g, alpha, p, x, report

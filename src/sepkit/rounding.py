@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embeddings import Embedding, embedding_from_gram, gram_from_z
+from .concave import solve_relaxation
+from .embeddings import Embedding, embedding_from_gram, objective
 from .graphs import (
     BRUTE_FORCE_CAP,
     Cut,
@@ -213,22 +214,6 @@ class PipelineReport:
     c: float
     seed: int
 
-    def to_dict(self):
-        return {
-            "relaxation_value": self.relaxation_value,
-            "cut_members": list(self.cut_members) if self.cut_members is not None else None,
-            "cut_size": self.cut_size,
-            "balance": self.balance,
-            "ratio": self.ratio,
-            "attempts": self.attempts,
-            "succeeded": self.succeeded,
-            "delta": self.delta,
-            "exact_value": self.exact_value,
-            "p": self.p,
-            "c": self.c,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class PipelineOptions:
@@ -254,26 +239,18 @@ def pipeline(
     """Solve the exponent-p relaxation, round with repeated set-find attempts,
     and report the produced cut against the relaxation and the exact optimum.
 
-    A precomputed (embedding, relaxation_value) pair skips the solve; that is
-    how the CLI chains a stored solver artifact into the rounding stage.
+    A precomputed embedding skips the solve; that is how the CLI chains a
+    stored solver artifact into the rounding stage.  The relaxation value then
+    defaults to the embedding's own objective at exponent p.
     """
     if len(balanced_size_range(g.n, c)) == 0:
         raise InfeasibleBalanceError(f"no c-balanced subset size for c={c}, n={g.n}")
-    if embedding is None or relaxation_value is None:
-        if p == 2.0:
-            from .sdp import SdpOptions, solve_sdp
-
-            x, rep = solve_sdp(g, c, SdpOptions(seed=opts.seed))
-            embedding = embedding_from_gram(x)
-            relaxation_value = rep.value
-        else:
-            from .concave import ConcaveOptions, solve_concave
-
-            zf, rep = solve_concave(
-                g, c, p, ConcaveOptions(starts=opts.starts, seed=opts.seed)
-            )
-            embedding = embedding_from_gram(gram_from_z(zf))
-            relaxation_value = rep.value
+    if embedding is None:
+        x, rep = solve_relaxation(g, c, p, seed=opts.seed, starts=opts.starts)
+        embedding = embedding_from_gram(x)
+        relaxation_value = rep.value
+    elif relaxation_value is None:
+        relaxation_value = objective(g, embedding, p)
 
     params = opts.rounding
     if params.c_prime is None:

@@ -17,7 +17,6 @@ import numpy as np
 from . import solver_core as core
 from .embeddings import (
     FeasibilityReport,
-    GramForm,
     RelaxationParams,
     check_feasibility_z,
     gram_from_z,
@@ -123,15 +122,3 @@ def solve_sdp(g: Graph, c: float, opts: SdpOptions = SdpOptions()):
         converged=result.converged,
     )
     return gram_from_z(ZForm(result.z)), report
-
-
-def violated_triangles(x: GramForm, tol: float):
-    """Ordered triples (i, j, k, violation) of the squared-distance triangle
-    inequality violated by more than tol, sorted by decreasing violation.
-
-    Violations are in squared-distance units, twice their z-form size.
-    """
-    z = 1.0 - x.matrix
-    np.fill_diagonal(z, 0.0)
-    found = core.scan_triangle_violations(z, 2.0, tol / 2.0)
-    return [(i, j, k, 2.0 * viol) for viol, i, j, k in found]

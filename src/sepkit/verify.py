@@ -14,8 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import solver_core as core
-from .concave import ConcaveOptions, check_concavity, solve_concave
-from .corpus import complete_bipartite, complete_graph, cycle_graph, gnp_graph, path_graph
+from .concave import check_concavity
+from .corpus import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    solve_corpus,
+)
 from .embeddings import (
     Embedding,
     RelaxationParams,
@@ -28,9 +35,9 @@ from .embeddings import (
     z_from_gram,
     zform_spread_requirement,
 )
-from .graphs import Graph, brute_force_cut_values, exact_balanced_separator
+from .graphs import Graph, brute_force_cut_values
 from .rounding import gaussian_projection_test
-from .sdp import SdpOptions, cut_z_matrix, solve_sdp
+from .sdp import cut_z_matrix
 
 
 @dataclass
@@ -188,17 +195,13 @@ def suite_soundness(seed: int = 0, starts: int = 2) -> SuiteResult:
         ("K33", complete_bipartite(3, 3)),
         ("gnp6", gnp_graph(6, 0.5, 0)),
     ]
-    for name, g in graphs:
-        _, alpha = exact_balanced_separator(g, 0.25)
-        for p in (0.5, 1.0, 1.5, 2.0):
-            if p == 2.0:
-                _, rep = solve_sdp(g, 0.25, SdpOptions(seed=seed))
-            else:
-                _, rep = solve_concave(g, 0.25, p, ConcaveOptions(starts=starts, seed=seed))
-            res.add(
-                rep.value <= alpha + 1e-5,
-                f"{name} p={p}: relaxation {rep.value:.4f} <= alpha {alpha}",
-            )
+    for name, _, alpha, p, _, rep in solve_corpus(
+        graphs, 0.25, (0.5, 1.0, 1.5, 2.0), seed=seed, starts=starts
+    ):
+        res.add(
+            rep.value <= alpha + 1e-5,
+            f"{name} p={p}: relaxation {rep.value:.4f} <= alpha {alpha}",
+        )
     return res
 
 

@@ -12,17 +12,22 @@ import pytest
 
 from sepkit.cli import main as cli_main
 from sepkit.concave import ConcaveOptions, grid_oracle_n3, solve_concave
-from sepkit.corpus import acceptance_corpus, complete_graph, gnp_graph, path_graph
+from sepkit.corpus import (
+    acceptance_corpus,
+    complete_graph,
+    gnp_graph,
+    path_graph,
+    solve_corpus,
+)
 from sepkit.embeddings import (
     Embedding,
     RelaxationParams,
     check_feasibility,
     cut_to_embedding,
     embedding_from_gram,
-    gram_from_z,
     objective,
 )
-from sepkit.graphs import Cut, balanced_size_range, cut_size, exact_balanced_separator
+from sepkit.graphs import Cut, balanced_size_range, cut_size
 from sepkit.records import strip_timestamp, record_to_json
 from sepkit.rounding import (
     PipelineOptions,
@@ -52,16 +57,8 @@ def corpus_solutions():
     t0 = time.perf_counter()
     cache = {}
     corpus = acceptance_corpus()
-    for name, g in corpus:
-        _, alpha = exact_balanced_separator(g, C)
-        for p in P_GRID:
-            if p == 2.0:
-                x, rep = solve_sdp(g, C, SdpOptions(seed=0))
-                emb = embedding_from_gram(x)
-            else:
-                z, rep = solve_concave(g, C, p, ConcaveOptions(starts=4, seed=0))
-                emb = embedding_from_gram(gram_from_z(z))
-            cache[(name, p)] = (emb, rep.value, alpha)
+    for name, _, alpha, p, x, rep in solve_corpus(corpus, C, P_GRID, seed=0, starts=4):
+        cache[(name, p)] = (embedding_from_gram(x), rep.value, alpha)
     elapsed = time.perf_counter() - t0
     return corpus, cache, elapsed
 

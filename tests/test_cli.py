@@ -185,6 +185,13 @@ def test_verify_roundtrip_suite(capsys):
     assert "suite roundtrip: PASS" in out
 
 
+def test_verify_soundness_suite(capsys):
+    code = main(["verify", "--suite", "soundness"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "suite soundness: PASS" in out
+
+
 def test_seed_env_default(c4_file, capsys, monkeypatch):
     monkeypatch.setenv("SEPKIT_SEED", "123")
     code, record = run_json(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sepkit import solver_core as core
 from sepkit.concave import (
     ConcaveOptions,
     check_concavity,
@@ -8,12 +9,12 @@ from sepkit.concave import (
     grid_oracle_n3,
     hessian_f,
     hessian_quadratic_form,
-    linear_subproblem,
     objective_gradient,
     solve_concave,
+    solve_relaxation,
 )
 from sepkit.corpus import complete_graph, cycle_graph, gnp_graph, path_graph
-from sepkit.embeddings import ZForm, objective_z, zform_spread_requirement
+from sepkit.embeddings import ZForm, gram_from_z, objective_z, zform_spread_requirement
 from sepkit.graphs import (
     Cut,
     Graph,
@@ -21,6 +22,7 @@ from sepkit.graphs import (
     brute_force_cut_values,
     exact_balanced_separator,
 )
+from sepkit.sdp import SdpOptions, solve_sdp
 
 C = 0.25
 P_INNER = (0.5, 1.0, 1.5)
@@ -103,10 +105,14 @@ def test_feasible_point_from_cut():
 def test_linear_subproblem_two_vertex_hand_cases():
     g = Graph(2, ((0, 1),))
     up = np.array([[0.0, 0.5], [0.5, 0.0]])
-    z = linear_subproblem(up, g, C, 1e-6, 1.0, z0=np.array([[0.0, 2.0], [2.0, 0.0]]))
-    assert z.matrix[0, 1] == pytest.approx(2 * C * (1 - C) * 4, abs=1e-5)
-    z = linear_subproblem(-up, g, C, 1e-6, 1.0)
-    assert z.matrix[0, 1] == pytest.approx(2.0, abs=1e-5)
+    rhs = zform_spread_requirement(g.n, C)
+    z0 = np.array([[0.0, 2.0], [2.0, 0.0]])
+    z = core.minimize_linear_zform(up, g.n, 1.0, rhs, z0, tol=1e-6, seed=0).z
+    assert z[0, 1] == pytest.approx(2 * C * (1 - C) * 4, abs=1e-5)
+    # from the orthonormal start, z01 = 1, below the spread bound
+    z0 = 1.0 - np.eye(g.n)
+    z = core.minimize_linear_zform(-up, g.n, 1.0, rhs, z0, tol=1e-6, seed=0).z
+    assert z[0, 1] == pytest.approx(2.0, abs=1e-5)
 
 
 def test_solve_concave_sound_on_small_graphs():
@@ -135,6 +141,18 @@ def test_solve_concave_k3_matches_spread_tight_optimum():
     assert rep.value == pytest.approx(2.0 * np.sqrt(s / 2.0), abs=2e-3)
 
 
+def test_solve_relaxation_returns_each_solvers_gram():
+    g = cycle_graph(5)
+    x, rep = solve_relaxation(g, C, 2.0, seed=1, starts=2)
+    x_sdp, rep_sdp = solve_sdp(g, C, SdpOptions(seed=1))
+    assert np.array_equal(x.matrix, x_sdp.matrix)
+    assert rep.value == rep_sdp.value
+    x, rep = solve_relaxation(g, C, 1.0, seed=1, starts=2)
+    z, rep_concave = solve_concave(g, C, 1.0, ConcaveOptions(starts=2, seed=1))
+    assert np.array_equal(x.matrix, gram_from_z(z).matrix)
+    assert rep.value == rep_concave.value
+
+
 def test_solve_concave_rejects_bad_exponent():
     g = cycle_graph(4)
     with pytest.raises(ValueError):
@@ -148,8 +166,10 @@ def test_solve_concave_local_minimality_certificate():
     opts = ConcaveOptions(starts=3, seed=0, inner_tol=1e-5)
     z, rep = solve_concave(g, C, 1.0, opts)
     grad = objective_gradient(g, z.matrix, 1.0)
-    znext = linear_subproblem(grad, g, C, opts.inner_tol, 1.0, z0=z.matrix)
-    improvement = rep.value - objective_z(g, znext, 1.0)
+    znext = core.minimize_linear_zform(
+        grad, g.n, 1.0, zform_spread_requirement(g.n, C), z.matrix, tol=1e-6, seed=0
+    ).z
+    improvement = rep.value - objective_z(g, ZForm(znext), 1.0)
     assert improvement < opts.inner_tol
 
 
@@ -193,8 +213,6 @@ def test_grid_oracle_agrees_with_solvers_on_k3():
     g = complete_graph(3)
     res = 0.02
     grid = grid_oracle_n3(g, C, 2.0, res)
-    from sepkit.sdp import solve_sdp
-
     _, rep = solve_sdp(g, C)
     assert abs(rep.value - grid) <= 3 * res
     grid1 = grid_oracle_n3(g, C, 1.0, res)

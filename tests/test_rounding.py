@@ -172,6 +172,17 @@ def test_pipeline_c8_p1():
     assert math.isfinite(rep.ratio)
 
 
+def test_pipeline_rounds_given_embedding_without_value():
+    # the embedding is rounded as given and the value is its own objective,
+    # not that of a fresh solve
+    g = cycle_graph(8)
+    e = cut_to_embedding(g, Cut({0, 1, 2, 3}))
+    rep = pipeline(g, 0.25, 1.0, PipelineOptions(seed=3), embedding=e)
+    assert rep.relaxation_value == pytest.approx(2.0, abs=1e-12)
+    assert rep.succeeded
+    assert rep.cut_members == (0, 1, 2, 3)
+
+
 def test_pipeline_infeasible_balance():
     with pytest.raises(InfeasibleBalanceError):
         pipeline(Graph(2, ((0, 1),)), 0.6, 1.0)

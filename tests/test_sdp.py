@@ -17,9 +17,10 @@ from sepkit.embeddings import (
     cut_to_embedding,
     embedding_from_gram,
     gram_from_embedding,
+    z_from_gram,
 )
 from sepkit.graphs import Cut, Graph, exact_balanced_separator
-from sepkit.sdp import SdpOptions, solve_sdp, violated_triangles
+from sepkit.sdp import SdpOptions, solve_sdp
 from sepkit import solver_core as core
 
 C = 0.25
@@ -115,34 +116,36 @@ def test_sdp_rejects_oversize():
 def test_violated_triangles_clean_on_cut_and_identity():
     g = cycle_graph(4)
     x = gram_from_embedding(cut_to_embedding(g, Cut({0, 1})))
-    assert violated_triangles(x, 1e-9) == []
-    assert violated_triangles(GramForm(np.eye(4)), 1e-9) == []
+    assert core.scan_triangle_violations(z_from_gram(x).matrix, 2.0, 1e-9) == []
+    z = z_from_gram(GramForm(np.eye(4))).matrix
+    assert core.scan_triangle_violations(z, 2.0, 1e-9) == []
 
 
 def test_violated_triangles_detects_construction():
     # x01 = x12 = 0.9 with x02 = 0.7 makes d(0,2)^2 > d(0,1)^2 + d(1,2)^2
     x = np.array([[1.0, 0.9, 0.7], [0.9, 1.0, 0.9], [0.7, 0.9, 1.0]])
-    found = violated_triangles(GramForm(x), 1e-9)
+    found = core.scan_triangle_violations(z_from_gram(GramForm(x)).matrix, 2.0, 1e-9)
     assert found
     top = found[0]
-    assert (top[0], top[1], top[2]) == (0, 1, 2)
-    # violation in squared-distance units: 0.6 - 0.2 - 0.2
-    assert top[3] == pytest.approx(0.2, abs=1e-12)
-    assert found == sorted(found, key=lambda t: -t[3])
+    assert (top[1], top[2], top[3]) == (0, 1, 2)
+    # violation in Z units: 0.3 - 0.1 - 0.1
+    assert top[0] == pytest.approx(0.1, abs=1e-12)
+    assert found == sorted(found, key=lambda t: -t[0])
 
 
 def test_violated_triangles_found_by_perturbation_search():
     """Perturb an equality configuration (antipodal pair plus orthogonal
-    midpoint) until the op reports a violation."""
+    midpoint) until the scan reports a violation."""
     rng = np.random.default_rng(7)
     base = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
     x0 = gram_from_embedding(cut_to_embedding(cycle_graph(3), Cut({0})))
-    assert violated_triangles(x0, 1e-9) == []  # distances 0/4 satisfy equality
+    # distances 0/4 satisfy equality
+    assert core.scan_triangle_violations(z_from_gram(x0).matrix, 2.0, 1e-9) == []
     for _ in range(200):
         v = base + 0.3 * rng.standard_normal(base.shape)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         x = gram_from_embedding(Embedding(v))
-        if violated_triangles(x, 1e-6):
+        if core.scan_triangle_violations(z_from_gram(x).matrix, 2.0, 1e-6):
             return
     raise AssertionError("perturbation search found no violation")
 
