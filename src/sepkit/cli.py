@@ -153,7 +153,6 @@ def cmd_pipeline(args):
         for idx, path in enumerate(paths):
             sub_args = argparse.Namespace(**vars(args))
             sub_args.seed = args.seed + idx
-            sub_args.embedding = None
             _, results = _run_single_pipeline(_read_graph(path), path.name, sub_args)
             rows.append(results)
         if args.records_dir:
@@ -313,6 +312,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "pipeline" and not args.graph and not args.batch:
         parser.error("pipeline needs --graph or --batch")
+    if args.command == "pipeline" and args.batch:
+        # batch mode solves every graph; one embedding or value cannot stand
+        # for all of them
+        for flag, value in (("--embedding", args.embedding),
+                            ("--relaxation-value", args.relaxation_value)):
+            if value is not None:
+                parser.error(f"{flag} cannot be used with --batch")
     try:
         return args.func(args)
     except (

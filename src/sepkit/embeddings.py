@@ -184,7 +184,7 @@ def objective(g: Graph, e: Embedding, p: float) -> float:
 def spread(e: Embedding) -> float:
     """Sum over all pairs i < j of squared distances."""
     d = e.distance_matrix()
-    return float(np.sum(np.triu(d * d, k=1)))
+    return spread_sum(d * d)
 
 
 def spread_requirement(n: int, c: float) -> float:

@@ -16,6 +16,7 @@ wrappers around `minimize_linear_zform`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
@@ -80,8 +81,26 @@ def z_of_factor(v):
     return z
 
 
+@lru_cache(maxsize=32)
+def _strict_upper(n):
+    """Read-only n x n mask of the pairs i < j, built once per n."""
+    idx = np.arange(n)
+    mask = idx[:, None] < idx[None, :]
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=32)
+def _off_diagonal(n):
+    """Read-only J - I, built once per n."""
+    ones = 1.0 - np.eye(n)
+    ones.flags.writeable = False
+    return ones
+
+
 def spread_sum(z):
-    return float(np.sum(np.triu(z, k=1)))
+    """sum_{i<j} z_ij; the same sum, in the same order, as np.triu(z, k=1)."""
+    return float(np.sum(np.where(_strict_upper(z.shape[0]), z, 0.0)))
 
 
 def power_matrix(z, p):
@@ -106,10 +125,9 @@ def _upper_slabs(z, p):
     last bit; reading each once keeps the scan and the maximum consistent."""
     w = power_matrix(z, p)
     np.fill_diagonal(w, 0.0)
-    on_or_below = np.tri(w.shape[0], dtype=bool)
+    upper = _strict_upper(w.shape[0])
     for j, slab in triangle_slabs(w):
-        slab[on_or_below] = 0.0
-        yield j, slab
+        yield j, np.where(upper, slab, 0.0)
 
 
 def scan_triangle_violations(z, p, tol):
@@ -139,30 +157,35 @@ def max_triangle_violation_z(z, p):
     return max(float(viol.max()) for _, viol in _upper_slabs(z, p))
 
 
-def _triangle_terms(z, tri, p, floor):
-    """Constraint values h_t and the z-derivative coefficients of w at the
-    three pairs of each active triple."""
-    half = p / 2.0
+def triangle_flat_indices(tri, n):
+    """Flat indices into an n x n Z of the pairs of each triple (i, j, k), in
+    three blocks (i, k) | (i, j) | (j, k)."""
+    tri = np.asarray(tri, dtype=np.int64)
     i, j, k = tri[:, 0], tri[:, 1], tri[:, 2]
-    z_ik = z[i, k]
-    z_ij = z[i, j]
-    z_jk = z[j, k]
+    return np.concatenate([i * n + k, i * n + j, j * n + k])
+
+
+# signs of the three blocks in h = w_ik - w_ij - w_jk, halved for the two
+# mirror entries of each pair
+_BLOCK_SIGNS = np.array([[0.5], [-0.5], [-0.5]])
+
+
+def _triangle_terms(z, flat, p, floor):
+    """Constraint values h_t of the active triples and, as a 3 x T block, the
+    z-derivatives of w at their (i, k), (i, j) and (j, k) pairs."""
+    half = p / 2.0
+    g = z.ravel()[flat].reshape(3, -1)
     if half == 1.0:
-        h = z_ik - z_ij - z_jk
-        ones = np.ones_like(z_ik)
-        return h, ones, ones, ones
-    zc_ik = np.maximum(z_ik, 0.0)
-    zc_ij = np.maximum(z_ij, 0.0)
-    zc_jk = np.maximum(z_jk, 0.0)
-    h = zc_ik**half - zc_ij**half - zc_jk**half
-    d_ik = half * np.maximum(z_ik, floor) ** (half - 1.0)
-    d_ij = half * np.maximum(z_ij, floor) ** (half - 1.0)
-    d_jk = half * np.maximum(z_jk, floor) ** (half - 1.0)
-    return h, d_ik, d_ij, d_jk
+        return g[0] - g[1] - g[2], 1.0
+    w = np.maximum(g, 0.0) ** half
+    h = w[0] - w[1] - w[2]
+    return h, half * np.maximum(g, floor) ** (half - 1.0)
 
 
-def _al_eval(v, c_mat, rhs, p, mu, rho, tri, nu, floor):
-    """Augmented-Lagrangian value and V-gradient at factor v."""
+def _al_eval(v, c_mat, rhs, p, mu, rho, flat, nu, floor):
+    """Augmented-Lagrangian value and V-gradient at factor v; flat holds the
+    active triples as `triangle_flat_indices` gives them."""
+    n = v.shape[0]
     z = z_of_factor(v)
     val = float(np.vdot(c_mat, z))
     s = spread_sum(z) - rhs
@@ -171,17 +194,15 @@ def _al_eval(v, c_mat, rhs, p, mu, rho, tri, nu, floor):
     val += (act_s * act_s - mu * mu) / (2.0 * rho)
     m = c_mat
     if act_s != 0.0:
-        m = m + (-act_s) * 0.5 * (1.0 - np.eye(v.shape[0]))
-    if len(tri):
-        h, d_ik, d_ij, d_jk = _triangle_terms(z, tri, p, floor)
+        m = m + (-act_s) * 0.5 * _off_diagonal(n)
+    if len(flat):
+        h, d = _triangle_terms(z, flat, p, floor)
         coef = np.maximum(0.0, nu + rho * h)
         val += float(np.sum(coef * coef - nu * nu)) / (2.0 * rho)
         if np.any(coef != 0.0):
-            i, j, k = tri[:, 0], tri[:, 1], tri[:, 2]
-            add = np.zeros_like(m)
-            np.add.at(add, (i, k), 0.5 * coef * d_ik)
-            np.add.at(add, (i, j), -0.5 * coef * d_ij)
-            np.add.at(add, (j, k), -0.5 * coef * d_jk)
+            # one scatter, adding each block in turn from 0.0
+            weights = (_BLOCK_SIGNS * coef * d).ravel()
+            add = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
             m = m + add + add.T
     # Z = 1 - V V^T, so dF/dV = -2 * (dF/dZ) V
     return val, -2.0 * (m @ v)
@@ -193,7 +214,7 @@ def _riemannian(grad, v):
     return grad - inner * v
 
 
-def _al_round(v, c_mat, rhs, p, mu, rho, tri, nu, floor, max_evals):
+def _al_round(v, c_mat, rhs, p, mu, rho, flat, nu, floor, max_evals):
     """One inner minimization of the augmented Lagrangian.
 
     The unit-row constraint is folded into the objective by normalizing rows
@@ -203,10 +224,11 @@ def _al_round(v, c_mat, rhs, p, mu, rho, tri, nu, floor, max_evals):
 
     def fun(w_flat):
         w = w_flat.reshape(n, d)
-        norms = np.linalg.norm(w, axis=1, keepdims=True)
+        # np.linalg.norm's own formula, without its dispatch
+        norms = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
         norms[norms == 0.0] = 1.0
         u = w / norms
-        val, grad_u = _al_eval(u, c_mat, rhs, p, mu, rho, tri, nu, floor)
+        val, grad_u = _al_eval(u, c_mat, rhs, p, mu, rho, flat, nu, floor)
         grad_w = _riemannian(grad_u, u) / norms
         return val, grad_w.ravel()
 
@@ -257,11 +279,13 @@ def minimize_linear_zform(
     # Start strictly inside: exact cut matrices are antipodal configurations,
     # which are critical points of any linear objective on the sphere manifold;
     # blending toward the orthonormal pattern breaks the saddle.
-    z_interior = 1.0 - np.eye(n)
-    z_start = 0.7 * z0 + 0.3 * z_interior
+    z_start = 0.7 * z0 + 0.3 * _off_diagonal(n)
     v = factor_correlation(1.0 - z_start, JITTER, rng)
     mu = 0.0
-    tri = np.zeros((0, 3), dtype=np.int64)
+    # active triples, kept across rounds: their flat indices into Z (see
+    # triangle_flat_indices), one multiplier each, and the set of triples
+    existing = set()
+    flat = np.zeros(0, dtype=np.int64)
     nu = np.zeros(0)
     rho = 1.0
     used = 0
@@ -275,7 +299,7 @@ def minimize_linear_zform(
         rounds += 1
         budget = min(INNER_STEPS, max_iter - used)
         v, took, pgd_conv = _al_round(
-            v, c_unit, rhs, p, mu, rho, tri, nu, Z_FLOOR, budget
+            v, c_unit, rhs, p, mu, rho, flat, nu, Z_FLOOR, budget
         )
         used += max(took, 1)
         z = z_of_factor(v)
@@ -302,11 +326,10 @@ def minimize_linear_zform(
         prev_val = val_now if feasible_now else prev_val
         # multiplier updates
         mu = max(0.0, mu - rho * slack)
-        if len(tri):
-            h, _, _, _ = _triangle_terms(z, tri, p, Z_FLOOR)
+        if len(flat):
+            h, _ = _triangle_terms(z, flat, p, Z_FLOOR)
             nu = np.maximum(0.0, nu + rho * h)
         # activate worst new triangles
-        existing = {(int(a), int(b), int(cc)) for a, b, cc in tri}
         fresh = []
         for viol, i, j, k in violations:
             if (i, j, k) not in existing:
@@ -315,7 +338,8 @@ def minimize_linear_zform(
             if len(fresh) >= batch:
                 break
         if fresh:
-            tri = np.vstack([tri, np.asarray(fresh, dtype=np.int64)])
+            new = triangle_flat_indices(fresh, n).reshape(3, -1)
+            flat = np.concatenate([flat.reshape(3, -1), new], axis=1).ravel()
             nu = np.concatenate([nu, np.zeros(len(fresh))])
         # two-sided penalty adaptation: grow on stalls, shrink once feasible so
         # the quadratic wall does not choke tangent progress along the boundary
@@ -340,6 +364,6 @@ def minimize_linear_zform(
         value=val,
         iterations=used,
         rounds=rounds,
-        active_triangles=len(tri),
+        active_triangles=len(nu),
         converged=converged,
     )

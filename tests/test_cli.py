@@ -131,6 +131,25 @@ def test_pipeline_batch_csv_and_records(tmp_path, capsys):
     assert doc["results"]["n"] == 4
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--embedding", "emb.json"), ("--relaxation-value", "1.5")],
+)
+def test_pipeline_batch_rejects_single_graph_inputs(tmp_path, capsys, flag, value):
+    # batch mode solves each graph, so it would drop either flag unread
+    (tmp_path / "a.txt").write_text(C4_TEXT)
+    (tmp_path / "emb.json").write_text(
+        json.dumps({"n": 4, "d": 1, "vectors": [[1.0], [1.0], [-1.0], [-1.0]]})
+    )
+    if flag == "--embedding":
+        value = str(tmp_path / value)
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--batch", str(tmp_path), "--p", "2", "--c", "0.25",
+              flag, value])
+    assert exc.value.code == 2
+    assert f"{flag} cannot be used with --batch" in capsys.readouterr().err
+
+
 def test_pipeline_embedding_passthrough(c4_file, tmp_path, capsys):
     # round a hand-built cut embedding without solving
     emb = tmp_path / "emb.json"

@@ -310,3 +310,11 @@ def test_serialization_roundtrips():
     z = z_from_gram(x)
     z2 = ZForm.from_json(z.to_json())
     assert np.array_equal(z.matrix, z2.matrix)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(1, 6), seed=st.integers(0, 10**6))
+def test_spread_is_the_strict_upper_triangle_sum(n, d, seed):
+    e = Embedding(random_unit_vectors(n, d, seed))
+    dist = e.distance_matrix()
+    assert spread(e) == float(np.sum(np.triu(dist * dist, k=1)))

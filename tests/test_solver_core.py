@@ -79,3 +79,73 @@ def test_power_matrix_clips_negative_dust():
     z = np.array([[0.0, -1e-15], [-1e-15, 0.0]])
     w = core.power_matrix(z, 1.0)
     assert np.all(w >= 0.0)
+
+
+# triples sharing pairs within and across blocks: (0, 2) is the (i, k) pair of
+# the first two and the (i, j) pair of the last, (0, 1) is an (i, j) pair
+# twice, and (1, 2) is a (j, k) pair and an (i, k) pair
+SHARED_TRIPLES = ((0, 1, 2), (0, 3, 2), (0, 1, 4), (1, 4, 2), (2, 3, 5), (0, 2, 6))
+
+
+def al_value_reference(z, c_mat, rhs, p, mu, rho, tri, nu):
+    """The augmented Lagrangian of `_al_eval`, one term at a time."""
+    n = z.shape[0]
+    val = float(np.vdot(c_mat, z))
+    s = sum(z[a, b] for a in range(n) for b in range(a + 1, n)) - rhs
+    act = max(0.0, mu - rho * s)
+    val += (act * act - mu * mu) / (2.0 * rho)
+    for (i, j, k), nu_t in zip(tri, nu):
+        h = z[i, k] ** (p / 2) - z[i, j] ** (p / 2) - z[j, k] ** (p / 2)
+        coef = max(0.0, nu_t + rho * h)
+        val += (coef * coef - nu_t * nu_t) / (2.0 * rho)
+    return val
+
+
+@pytest.mark.parametrize("p", (0.5, 1.5, 2.0))
+def test_al_eval_gradient_matches_finite_differences(p):
+    n = 7
+    rng = np.random.default_rng(3)
+    v = core.normalize_rows(rng.standard_normal((n, n)))
+    c_mat = core.symmetrize(rng.standard_normal((n, n)))
+    np.fill_diagonal(c_mat, 0.0)
+    tri = np.array(SHARED_TRIPLES)
+    flat = core.triangle_flat_indices(tri, n)
+    nu = np.linspace(10.0, 12.0, len(tri))
+    mu, rho = 0.5, 2.0
+    rhs = 40.0  # above any spread of 7 unit vectors, so the spread term acts
+    z = core.z_of_factor(v)
+    assert mu - rho * (core.spread_sum(z) - rhs) > 0.0
+    h, _ = core._triangle_terms(z, flat, p, core.Z_FLOOR)
+    assert np.all(nu + rho * h > 0.0)  # every triangle term acts
+
+    def value(w):
+        return core._al_eval(w, c_mat, rhs, p, mu, rho, flat, nu, core.Z_FLOOR)[0]
+
+    val, grad = core._al_eval(v, c_mat, rhs, p, mu, rho, flat, nu, core.Z_FLOOR)
+    reference = al_value_reference(z, c_mat, rhs, p, mu, rho, tri, nu)
+    assert val == pytest.approx(reference, rel=1e-12)
+    eps = 1e-6
+    fd = np.zeros_like(v)
+    for idx in np.ndindex(*v.shape):
+        step = np.zeros_like(v)
+        step[idx] = eps
+        fd[idx] = (value(v + step) - value(v - step)) / (2.0 * eps)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+def test_spread_sum_is_the_strict_upper_triangle_sum(n, seed):
+    # entries over sixteen orders of magnitude, so any change in the order of
+    # the additions shows in the last bits
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, n))
+    z = a + a.T
+    assert core.spread_sum(z) == float(np.sum(np.triu(z, k=1)))
+
+
+def test_cached_masks_are_read_only():
+    with pytest.raises(ValueError):
+        core._strict_upper(5)[0, 1] = False
+    with pytest.raises(ValueError):
+        core._off_diagonal(5)[0, 0] = 1.0
