@@ -36,11 +36,10 @@ from .embeddings import (
     objective,
     objective_z,
     spread,
-    spread_requirement,
     z_from_gram,
     zform_spread_requirement,
 )
-from .sdp import SdpOptions, SolveReport, solve_sdp
+from .sdp import SolveReport, solve_sdp
 from .concave import (
     ConcaveOptions,
     HessianSample,

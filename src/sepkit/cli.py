@@ -32,7 +32,7 @@ from .rounding import (
     gaussian_projection_test,
     pipeline,
 )
-from .sdp import SdpOptions, solve_sdp
+from .sdp import solve_sdp
 from .solver_core import NonconvergedError
 from .verify import SUITES, run_suites
 
@@ -69,23 +69,26 @@ def cmd_exact(args):
     return EXIT_OK
 
 
+def _solve_config(graph, args):
+    """Record config of a solve: the inputs the solver reads, with `starts`
+    only below p = 2, where the multistart uses it."""
+    config = {"graph": graph, "p": args.p, "c": args.c, "seed": args.seed}
+    if args.p < 2.0:
+        config["starts"] = args.starts
+    return config
+
+
 def cmd_solve(args):
     if not (0.0 < args.p <= 2.0):
         raise ValueError(f"p must lie in (0, 2], got {args.p}")
     g = _read_graph(args.graph)
     if args.p == 2.0:
-        opts = SdpOptions(
-            tol=args.tol, max_iter=args.max_iter, seed=args.seed, warm_start=args.warm_start
-        )
-        x, report = solve_sdp(g, args.c, opts)
+        x, report = solve_sdp(g, args.c, seed=args.seed)
         matrix_doc = x.to_json()
         matrix_kind = "gram"
         emb = embedding_from_gram(x)
     else:
-        opts = ConcaveOptions(
-            starts=args.starts, inner_tol=args.inner_tol, max_outer=args.max_outer,
-            seed=args.seed,
-        )
+        opts = ConcaveOptions(starts=args.starts, seed=args.seed)
         z, report = solve_concave(g, args.c, args.p, opts)
         matrix_doc = z.to_json()
         matrix_kind = "z"
@@ -96,14 +99,7 @@ def cmd_solve(args):
         Path(args.out_embedding).write_text(emb.to_json() + "\n")
     record = experiment_record(
         "solve",
-        {
-            "graph": args.graph,
-            "p": args.p,
-            "c": args.c,
-            "seed": args.seed,
-            "tol": args.tol,
-            "starts": args.starts,
-        },
+        _solve_config(args.graph, args),
         {
             "n": g.n,
             "m": g.m,
@@ -130,6 +126,22 @@ def _pipeline_options(args):
     )
 
 
+def _pipeline_config(graph, args):
+    """Record config of a pipeline run, the same keys in single-graph and
+    batch mode; `embedding` and `relaxation_value` say whether a stored
+    solve replaced the solver."""
+    return {
+        **_solve_config(graph, args),
+        "sigma": args.sigma,
+        "c_prime": args.c_prime,
+        "b_const": args.b_const,
+        "retries": args.retries,
+        "delta": args.delta,
+        "embedding": args.embedding,
+        "relaxation_value": args.relaxation_value,
+    }
+
+
 def _run_single_pipeline(g, name, args):
     emb = None
     if args.embedding:
@@ -150,20 +162,18 @@ def cmd_pipeline(args):
         if not paths:
             raise FileNotFoundError(f"no *.txt graphs under {args.batch}")
         rows = []
+        configs = []
         for idx, path in enumerate(paths):
             sub_args = argparse.Namespace(**vars(args))
             sub_args.seed = args.seed + idx
             _, results = _run_single_pipeline(_read_graph(path), path.name, sub_args)
             rows.append(results)
+            configs.append(_pipeline_config(path.name, sub_args))
         if args.records_dir:
             rec_dir = Path(args.records_dir)
             rec_dir.mkdir(parents=True, exist_ok=True)
-            for row in rows:
-                record = experiment_record(
-                    "pipeline",
-                    {"graph": row["graph"], "p": args.p, "c": args.c, "seed": row["seed"]},
-                    row,
-                )
+            for row, config in zip(rows, configs):
+                record = experiment_record("pipeline", config, row)
                 name = Path(row["graph"]).stem
                 (rec_dir / f"{name}.record.json").write_text(record_to_json(record))
         csv_text = batch_rows_to_csv(rows)
@@ -176,21 +186,7 @@ def cmd_pipeline(args):
 
     g = _read_graph(args.graph)
     report, results = _run_single_pipeline(g, Path(args.graph).name, args)
-    record = experiment_record(
-        "pipeline",
-        {
-            "graph": args.graph,
-            "p": args.p,
-            "c": args.c,
-            "seed": args.seed,
-            "sigma": args.sigma,
-            "c_prime": args.c_prime,
-            "b_const": args.b_const,
-            "retries": args.retries,
-            "delta": args.delta,
-        },
-        results,
-    )
+    record = experiment_record("pipeline", _pipeline_config(args.graph, args), results)
     _emit(record, args.out)
     return EXIT_OK if report.succeeded else EXIT_FAILURE
 
@@ -254,12 +250,7 @@ def build_parser():
     sp.add_argument("--graph", required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp.add_argument("--max-iter", type=int, default=50000)
-    sp.add_argument("--warm-start", choices=["cut", "orthonormal"], default="cut")
     sp.add_argument("--starts", type=int, default=8)
-    sp.add_argument("--inner-tol", type=float, default=1e-5)
-    sp.add_argument("--max-outer", type=int, default=30)
     sp.add_argument("--out-matrix")
     sp.add_argument("--out-embedding")
     sp.add_argument("--out")

@@ -41,7 +41,7 @@ from .graphs import (
     exact_balanced_separator,
     is_c_balanced,
 )
-from .sdp import SdpOptions, SolveReport, cut_z_matrix, solve_sdp
+from .sdp import SolveReport, cut_z_matrix, solve_sdp
 
 CONCAVE_N_CAP = 24
 GRAD_FLOOR = 1e-4  # d(z^{p/2})/dz is unbounded at 0; cap the linearization slope
@@ -50,15 +50,11 @@ GRAD_FLOOR = 1e-4  # d(z^{p/2})/dz is unbounded at 0; cap the linearization slop
 @dataclass(frozen=True)
 class ConcaveOptions:
     starts: int = 8
-    inner_tol: float = 1e-5
-    max_outer: int = 30
     seed: int = 0
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.inner_tol <= 0 or self.max_outer < 1:
-            raise ValueError("inner_tol must be positive and max_outer >= 1")
 
 
 @dataclass(frozen=True)
@@ -140,15 +136,17 @@ def _cut_start_members(g: Graph, c: float, starts: int, rng):
 
 TIGHT_TOL = 1e-6
 LOOSE_TOL = 1e-3
+INNER_TOL = 1e-5  # a linearization step that gains less than this stops a loop
+MAX_OUTER = 30  # linearization steps per loop
 
 
-def _descend(g, c, p, z_start, f_start, opts, seed):
+def _descend(g, c, p, z_start, f_start, seed):
     """Successive linearization from one start.
 
     Loose subproblems steer the search into a basin cheaply; the final answer
     always comes from the tight loop, so the point handed back is feasible at
     solver precision, no worse than the start, and one more tight step cannot
-    improve it by inner_tol.  Returns (z, value, iterations, certified,
+    improve it by INNER_TOL.  Returns (z, value, iterations, certified,
     converged), where converged says that every subproblem converged.
     """
     rhs = zform_spread_requirement(g.n, c)
@@ -166,9 +164,9 @@ def _descend(g, c, p, z_start, f_start, opts, seed):
 
     # loose exploration
     z, f = np.asarray(z_start, dtype=float), f_start
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_OUTER):
         znew, fnew = subproblem(z, LOOSE_TOL)
-        if f - fnew < opts.inner_tol:
+        if f - fnew < INNER_TOL:
             break
         z, f = znew, fnew
 
@@ -180,9 +178,9 @@ def _descend(g, c, p, z_start, f_start, opts, seed):
 
     # tight descent to a linearization fixed point
     z, f = z1, f1
-    for _ in range(opts.max_outer):
+    for _ in range(MAX_OUTER):
         znew, fnew = subproblem(z, TIGHT_TOL)
-        if f - fnew < opts.inner_tol:
+        if f - fnew < INNER_TOL:
             return z, f, iterations, True, converged
         z, f = znew, fnew
     return z, f, iterations, False, converged
@@ -208,7 +206,7 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
     for members in _cut_start_members(g, c, max(opts.starts - 1, 1), rng):
         starts.append(cut_z_matrix(g, members))
     if opts.starts >= 2:
-        x_sdp, _ = solve_sdp(g, c, SdpOptions(seed=opts.seed))
+        x_sdp, _ = solve_sdp(g, c, seed=opts.seed)
         z_sdp = 1.0 - x_sdp.matrix
         np.fill_diagonal(z_sdp, 0.0)
         starts.append(z_sdp)
@@ -218,7 +216,7 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
     certified = converged = False
     for idx, z0 in enumerate(starts):
         f0 = objective_z(g, ZForm(z0), p)
-        z, f, iters, cert, conv = _descend(g, c, p, z0, f0, opts, opts.seed)
+        z, f, iters, cert, conv = _descend(g, c, p, z0, f0, opts.seed)
         total_iter += iters
         if best is None or f < best[0] - 1e-15:
             best = (f, z, idx)
@@ -227,7 +225,7 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
         raise core.NonconvergedError("no start produced a feasible point")
     if not certified:
         raise core.NonconvergedError(
-            f"no linearization fixed point within max_outer={opts.max_outer}",
+            f"no linearization fixed point within MAX_OUTER={MAX_OUTER}",
             best_z=best[1],
         )
     value, z, _ = best
@@ -239,7 +237,6 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
         ),
         iterations=total_iter,
         wall_time=time.perf_counter() - t0,
-        seed=opts.seed,
         converged=converged,
     )
     return zform, report
@@ -256,7 +253,7 @@ def solve_relaxation(
     kind of matrix.
     """
     if p == 2.0:
-        return solve_sdp(g, c, SdpOptions(seed=seed))
+        return solve_sdp(g, c, seed=seed)
     z, report = solve_concave(g, c, p, ConcaveOptions(starts=starts, seed=seed))
     return gram_from_z(z), report
 

@@ -109,9 +109,6 @@ class GramForm:
     def n(self):
         return self.matrix.shape[0]
 
-    def diag_residual(self):
-        return float(np.max(np.abs(np.diag(self.matrix) - 1.0)))
-
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
@@ -185,10 +182,6 @@ def spread(e: Embedding) -> float:
     """Sum over all pairs i < j of squared distances."""
     d = e.distance_matrix()
     return spread_sum(d * d)
-
-
-def spread_requirement(n: int, c: float) -> float:
-    return 4.0 * c * (1.0 - c) * n * n
 
 
 def check_feasibility_z(z, params: RelaxationParams, tol_triangle, tol_spread):

@@ -195,15 +195,29 @@ def is_c_balanced(g: Graph, s: Cut, c) -> bool:
     return cf * g.n < k < (1 - cf) * g.n
 
 
-def _popcount(masks):
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(masks)
-    x = masks.astype(np.uint64)
-    out = np.zeros_like(x)
-    while np.any(x):
-        out += x & 1
-        x >>= np.uint64(1)
-    return out
+def subset_cut_table(g: Graph):
+    """Size and cut value of every vertex subset, indexed by bitmask (bit v
+    set when v is a member); returns (sizes, values) as two arrays of length
+    2^n.
+
+    Built one vertex at a time: the table over {0..v-1} doubles, the upper
+    half holding the subsets that gain v.  When v joins a subset m, the cut
+    gains the lower neighbours of v outside m; when v stays out, it gains
+    the lower neighbours inside m.
+    """
+    lower = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        lower[j].append(i)
+    sizes = np.zeros(1, dtype=np.uint8)
+    values = np.zeros(1, dtype=np.int32)
+    for v in range(g.n):
+        masks = np.arange(1 << v, dtype=np.int32)
+        inside = np.zeros(1 << v, dtype=np.int32)
+        for u in lower[v]:
+            inside += (masks >> u) & 1
+        sizes = np.concatenate([sizes, sizes + 1])
+        values = np.concatenate([values + inside, values + (len(lower[v]) - inside)])
+    return sizes, values
 
 
 def _lex_min_members(masks, n):
@@ -218,11 +232,11 @@ def _lex_min_members(masks, n):
     for v in range(n):
         if np.any(cand == prefix):
             return tuple(members)
-        bit = np.uint32(1) << np.uint32(v)
+        bit = 1 << v
         with_v = cand[(cand & bit) != 0]
         if len(with_v):
             cand = with_v
-            prefix |= int(bit)
+            prefix |= bit
             members.append(v)
     return tuple(members)
 
@@ -239,28 +253,21 @@ def exact_balanced_separator(g: Graph, c, cap: int = BRUTE_FORCE_CAP):
     if len(sizes) == 0:
         raise InfeasibleBalanceError(f"no subset size satisfies {c}*{g.n} < |S| < {1 - Fraction(c)}*{g.n}")
 
-    masks = np.arange(1, 1 << g.n, dtype=np.uint32)
-    pops = _popcount(masks)
-    keep = (pops >= sizes.start) & (pops <= sizes.stop - 1)
-    masks = masks[keep]
-    vals = np.zeros(len(masks), dtype=np.uint32)
-    for i, j in g.edges:
-        vals += ((masks >> np.uint32(i)) ^ (masks >> np.uint32(j))) & np.uint32(1)
-    best = int(vals.min())
-    winners = masks[vals == best]
+    set_sizes, values = subset_cut_table(g)
+    keep = (set_sizes >= sizes.start) & (set_sizes < sizes.stop)
+    best = int(values[keep].min())
+    winners = np.flatnonzero(keep & (values == best))
     members = _lex_min_members(winners, g.n)
     return Cut(members), best
 
 
 def brute_force_cut_values(g: Graph, c):
-    """All (members, value) pairs over c-balanced subsets, pure-Python path.
-
-    Independent of the vectorized oracle; intended for cross-checks and for
-    enumerating warm starts on small instances.
-    """
+    """All (members, value) pairs over c-balanced subsets, by size and then
+    lexicographically; the values are read from `subset_cut_table`.  Used to
+    enumerate warm starts and to draw feasible points in the verify suites."""
+    _, values = subset_cut_table(g)
     out = []
     for k in balanced_size_range(g.n, c):
         for sub in combinations(range(g.n), k):
-            s = Cut(sub)
-            out.append((sub, cut_size(g, s)))
+            out.append((sub, int(values[sum(1 << v for v in sub)])))
     return out

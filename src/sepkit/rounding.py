@@ -60,7 +60,6 @@ class SetFindResult:
     halted: bool  # stopped at the size check before deletion
     deleted_pairs: tuple
     median: float
-    margin: float
 
 
 def delta_target(n: int, p: float, b: float = 1.0) -> float:
@@ -114,7 +113,6 @@ def modified_set_find(
             halted=True,
             deleted_pairs=(),
             median=med,
-            margin=margin,
         )
     dist = e.distance_matrix() ** p
     alive_s = dict.fromkeys(s_prime, True)
@@ -140,7 +138,6 @@ def modified_set_find(
         halted=False,
         deleted_pairs=tuple(deleted),
         median=med,
-        margin=margin,
     )
 
 

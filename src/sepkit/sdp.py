@@ -32,22 +32,9 @@ from .graphs import (
 )
 
 SDP_N_CAP = 64
-
-
-@dataclass(frozen=True)
-class SdpOptions:
-    tol: float = 1e-6
-    max_iter: int = 50000
-    seed: int = 0
-    warm_start: str = "cut"  # "cut" | "orthonormal"
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
-        if self.warm_start not in ("cut", "orthonormal"):
-            raise ValueError(f"unknown warm start {self.warm_start!r}")
+# core tolerance in Z units: z-space residuals are half the squared-distance
+# residuals, so this honours 1e-6 in the vector form
+Z_TOL = 1e-6 / 2.0
 
 
 @dataclass(frozen=True)
@@ -56,7 +43,6 @@ class SolveReport:
     residuals: FeasibilityReport
     iterations: int
     wall_time: float
-    seed: int
     converged: bool  # False when a solver loop stopped at its round or step cap
 
 
@@ -78,15 +64,16 @@ def objective_matrix(g: Graph) -> np.ndarray:
     return c_mat
 
 
-def warm_start_z(g: Graph, c: float, kind: str) -> np.ndarray:
-    if kind == "cut" and g.n <= BRUTE_FORCE_CAP:
+def warm_start_z(g: Graph, c: float) -> np.ndarray:
+    """Z of the best balanced cut while the exact oracle can run (n <=
+    BRUTE_FORCE_CAP); of the orthonormal embedding (identity Gram) above."""
+    if g.n <= BRUTE_FORCE_CAP:
         cut, _ = exact_balanced_separator(g, c)
         return cut_z_matrix(g, cut.members)
-    # orthonormal embedding: identity Gram
     return 1.0 - np.eye(g.n)
 
 
-def solve_sdp(g: Graph, c: float, opts: SdpOptions = SdpOptions()):
+def solve_sdp(g: Graph, c: float, *, seed: int = 0):
     """Solve the p = 2 program; returns (GramForm, SolveReport).
 
     Raises InfeasibleBalanceError when no balanced subset size exists and
@@ -98,27 +85,20 @@ def solve_sdp(g: Graph, c: float, opts: SdpOptions = SdpOptions()):
     if len(balanced_size_range(g.n, c)) == 0:
         raise InfeasibleBalanceError(f"no c-balanced subset size for c={c}, n={g.n}")
     t0 = time.perf_counter()
-    z0 = warm_start_z(g, c, opts.warm_start)
-    rhs = zform_spread_requirement(g.n, c)
-    # z-space residuals are half the squared-distance residuals, so run the
-    # core at tol/2 to honour opts.tol in the vector form
-    tol = opts.tol / 2.0
     result = core.minimize_linear_zform(
         objective_matrix(g),
         g.n,
         2.0,
-        rhs,
-        z0,
-        tol=tol,
-        max_iter=opts.max_iter,
-        seed=opts.seed,
+        zform_spread_requirement(g.n, c),
+        warm_start_z(g, c),
+        tol=Z_TOL,
+        seed=seed,
     )
     report = SolveReport(
         value=result.value,
-        residuals=check_feasibility_z(result.z, RelaxationParams(2.0, c), tol, tol),
+        residuals=check_feasibility_z(result.z, RelaxationParams(2.0, c), Z_TOL, Z_TOL),
         iterations=result.iterations,
         wall_time=time.perf_counter() - t0,
-        seed=opts.seed,
         converged=result.converged,
     )
     return gram_from_z(ZForm(result.z)), report

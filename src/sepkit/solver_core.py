@@ -25,6 +25,7 @@ Z_FLOOR = 1e-8  # gradient guard: d(z^{p/2})/dz blows up at z = 0 for p < 2
 JITTER = 1e-4  # factor jitter at the warm start (see factor_correlation)
 INNER_STEPS = 120  # L-BFGS iterations per augmented-Lagrangian round
 MIN_NEW_TRIANGLES = 4  # a round activates up to max(n, this) new triangles
+MAX_EVALS = 50000  # function evaluations per minimize_linear_zform call
 
 
 class NonconvergedError(RuntimeError):
@@ -45,7 +46,7 @@ class CoreResult:
     iterations: int
     rounds: int
     active_triangles: int
-    converged: bool  # False when the loop stopped at max_rounds or max_iter
+    converged: bool  # False when the loop stopped at max_rounds or MAX_EVALS
 
 
 def symmetrize(a):
@@ -253,7 +254,6 @@ def minimize_linear_zform(
     z0,
     *,
     tol=1e-6,
-    max_iter=50000,
     seed=0,
     max_rounds=80,
 ):
@@ -262,7 +262,7 @@ def minimize_linear_zform(
     Returns the best feasible iterate seen (z0 itself counts when feasible);
     raises NonconvergedError if no iterate ever satisfied the constraints
     within tol.  The result is marked unconverged when the loop stopped at
-    max_rounds or max_iter instead of settling on a stable feasible value.
+    max_rounds or MAX_EVALS instead of settling on a stable feasible value.
     """
     c_mat = symmetrize(np.asarray(c_mat, dtype=float))
     rng = np.random.default_rng(seed)
@@ -295,9 +295,9 @@ def minimize_linear_zform(
     prev_val = np.inf
     stable = 0
     feas_streak = 0
-    while used < max_iter and rounds < max_rounds:
+    while used < MAX_EVALS and rounds < max_rounds:
         rounds += 1
-        budget = min(INNER_STEPS, max_iter - used)
+        budget = min(INNER_STEPS, MAX_EVALS - used)
         v, took, pgd_conv = _al_round(
             v, c_unit, rhs, p, mu, rho, flat, nu, Z_FLOOR, budget
         )

@@ -37,7 +37,7 @@ from sepkit.rounding import (
     modified_set_find,
     pipeline,
 )
-from sepkit.sdp import SdpOptions, solve_sdp
+from sepkit.sdp import solve_sdp
 from sepkit.verify import suite_concavity, suite_convexity, suite_gaussian, suite_hessian
 
 C = 0.25
@@ -225,7 +225,7 @@ def test_criterion_7_cross_solver_oracle_n3():
             ok = ok and good
             lines.append(f"{name} p={p}: solver {rep.value:.5f} vs grid {grid:.5f}")
         grid = grid_oracle_n3(g, C, 2.0, 0.02)
-        _, rep = solve_sdp(g, C, SdpOptions(seed=0))
+        _, rep = solve_sdp(g, C, seed=0)
         good = abs(rep.value - grid) <= tol
         ok = ok and good
         lines.append(f"{name} p=2: solver {rep.value:.5f} vs grid {grid:.5f}")

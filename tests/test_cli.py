@@ -81,6 +81,38 @@ def test_solve_p1_emits_z(c4_file, tmp_path, capsys):
     assert record["results"]["relaxation_value"] <= 2.0 + 1e-5
 
 
+def test_solve_flags_and_config_are_the_solver_inputs(c4_file, capsys):
+    base = ["solve", "--graph", str(c4_file), "--p", "1", "--c", "0.25"]
+    for flag, value in (("--tol", "1e-6"), ("--max-iter", "100"),
+                        ("--warm-start", "cut"), ("--inner-tol", "1e-5"),
+                        ("--max-outer", "30")):
+        with pytest.raises(SystemExit) as exc:
+            main(base + [flag, value])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, record = run_json(capsys, base + ["--starts", "2", "--seed", "3"])
+    assert code == 0
+    assert record["config"] == {
+        "graph": str(c4_file), "p": 1.0, "c": 0.25, "seed": 3, "starts": 2,
+    }
+
+
+def test_pipeline_batch_config_matches_single_graph(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    graph = batch / "c4.txt"
+    graph.write_text(C4_TEXT)
+    opts = ["--p", "1", "--c", "0.25", "--starts", "2", "--seed", "5",
+            "--sigma", "0.5", "--retries", "3"]
+    _, single = run_json(capsys, ["pipeline", "--graph", str(graph)] + opts)
+    rec_dir = tmp_path / "records"
+    main(["pipeline", "--batch", str(batch), "--records-dir", str(rec_dir)] + opts)
+    batched = json.loads((rec_dir / "c4.record.json").read_text())
+    assert batched["config"] == {**single["config"], "graph": "c4.txt"}
+    assert single["config"]["starts"] == 2
+    assert single["config"]["embedding"] is None
+
+
 def test_pipeline_record_and_determinism(c4_file, capsys):
     argv = ["pipeline", "--graph", str(c4_file), "--p", "2", "--c", "0.25", "--seed", "9"]
     code1, rec1 = run_json(capsys, argv)

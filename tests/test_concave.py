@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sepkit import concave
 from sepkit import solver_core as core
 from sepkit.concave import (
     ConcaveOptions,
@@ -16,13 +17,15 @@ from sepkit.concave import (
 from sepkit.corpus import complete_graph, cycle_graph, gnp_graph, path_graph
 from sepkit.embeddings import ZForm, gram_from_z, objective_z, zform_spread_requirement
 from sepkit.graphs import (
+    BRUTE_FORCE_CAP,
     Cut,
     Graph,
     InfeasibleBalanceError,
     brute_force_cut_values,
     exact_balanced_separator,
+    is_c_balanced,
 )
-from sepkit.sdp import SdpOptions, solve_sdp
+from sepkit.sdp import solve_sdp
 
 C = 0.25
 P_INNER = (0.5, 1.0, 1.5)
@@ -31,8 +34,6 @@ P_INNER = (0.5, 1.0, 1.5)
 def test_options_validation():
     with pytest.raises(ValueError):
         ConcaveOptions(starts=0)
-    with pytest.raises(ValueError):
-        ConcaveOptions(inner_tol=0.0)
 
 
 def test_hessian_at_unit_point_q2():
@@ -144,7 +145,7 @@ def test_solve_concave_k3_matches_spread_tight_optimum():
 def test_solve_relaxation_returns_each_solvers_gram():
     g = cycle_graph(5)
     x, rep = solve_relaxation(g, C, 2.0, seed=1, starts=2)
-    x_sdp, rep_sdp = solve_sdp(g, C, SdpOptions(seed=1))
+    x_sdp, rep_sdp = solve_sdp(g, C, seed=1)
     assert np.array_equal(x.matrix, x_sdp.matrix)
     assert rep.value == rep_sdp.value
     x, rep = solve_relaxation(g, C, 1.0, seed=1, starts=2)
@@ -163,14 +164,29 @@ def test_solve_concave_rejects_bad_exponent():
 
 def test_solve_concave_local_minimality_certificate():
     g = gnp_graph(7, 0.5, 5)
-    opts = ConcaveOptions(starts=3, seed=0, inner_tol=1e-5)
-    z, rep = solve_concave(g, C, 1.0, opts)
+    z, rep = solve_concave(g, C, 1.0, ConcaveOptions(starts=3, seed=0))
     grad = objective_gradient(g, z.matrix, 1.0)
     znext = core.minimize_linear_zform(
         grad, g.n, 1.0, zform_spread_requirement(g.n, C), z.matrix, tol=1e-6, seed=0
     ).z
     improvement = rep.value - objective_z(g, ZForm(znext), 1.0)
-    assert improvement < opts.inner_tol
+    assert improvement < concave.INNER_TOL
+
+
+@pytest.mark.parametrize("n", [14, 22])
+def test_cut_starts_sampled_beyond_enumeration(n):
+    # n > 12 samples the starts; the exact cut leads while the oracle runs
+    g = gnp_graph(n, 0.3, 1)
+    starts = 6
+    picks = concave._cut_start_members(g, C, starts, np.random.default_rng(0))
+    assert len(picks) == starts
+    assert len({frozenset(m) for m in picks}) == starts
+    for members in picks:
+        assert 0 in members
+        assert is_c_balanced(g, Cut(members), C)
+    if n <= BRUTE_FORCE_CAP:
+        best, _ = exact_balanced_separator(g, C)
+        assert picks[0] == set(best.members)
 
 
 def test_solve_concave_never_above_any_start_value():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +18,9 @@ from sepkit.graphs import (
     is_c_balanced,
     load_graph,
     sparsity,
+    subset_cut_table,
 )
-from sepkit.corpus import complete_graph, cycle_graph, path_graph
+from sepkit.corpus import complete_graph, cycle_graph, gnp_graph, path_graph
 
 
 def test_load_c4():
@@ -170,6 +172,19 @@ def test_exact_matches_naive_enumeration(gn):
     assert value == best_value
     assert cut.sorted_members() == best_members  # lexicographic tie-break
     assert is_c_balanced(g, cut, 0.25)
+
+
+@pytest.mark.parametrize("n, seed", [(16, 0), (18, 1)])
+def test_subset_cut_table_matches_cut_size(n, seed):
+    # beyond the hypothesis sizes: sampled bitmasks against the set-based count
+    g = gnp_graph(n, 0.3, seed)
+    sizes, values = subset_cut_table(g)
+    assert len(sizes) == len(values) == 1 << n
+    rng = np.random.default_rng(seed)
+    for mask in [0, (1 << n) - 1] + rng.integers(0, 1 << n, size=2000).tolist():
+        members = [v for v in range(n) if mask >> v & 1]
+        assert sizes[mask] == len(members)
+        assert values[mask] == cut_size(g, Cut(members))
 
 
 def test_exact_infeasible_balance():

@@ -18,21 +18,22 @@ from sepkit.embeddings import (
     embedding_from_gram,
     gram_from_embedding,
     z_from_gram,
+    zform_spread_requirement,
 )
 from sepkit.graphs import Cut, Graph, exact_balanced_separator
-from sepkit.sdp import SdpOptions, solve_sdp
+from sepkit.sdp import Z_TOL, objective_matrix, solve_sdp
 from sepkit import solver_core as core
 
 C = 0.25
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SdpOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        SdpOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        SdpOptions(warm_start="nope")
+def solve_from_orthonormal(g):
+    """The p = 2 core run as solve_sdp runs it, but from the orthonormal
+    start (identity Gram) that solve_sdp takes only above the oracle cap."""
+    return core.minimize_linear_zform(
+        objective_matrix(g), g.n, 2.0, zform_spread_requirement(g.n, C),
+        1.0 - np.eye(g.n), tol=Z_TOL, seed=0,
+    )
 
 
 def test_linear_subproblem_hand_cases_two_vertices():
@@ -61,7 +62,7 @@ def known_value_cases():
 
 @pytest.mark.parametrize("g,expected", known_value_cases())
 def test_sdp_reaches_known_optima(g, expected):
-    _, report = solve_sdp(g, C, SdpOptions(seed=0))
+    _, report = solve_sdp(g, C, seed=0)
     assert report.value == pytest.approx(expected, abs=2e-3)
 
 
@@ -69,13 +70,13 @@ def test_sdp_sound_against_oracle():
     for g in [cycle_graph(4), complete_graph(4), complete_graph(5),
               complete_bipartite(3, 3), petersen_graph(), gnp_graph(8, 0.5, 4)]:
         _, alpha = exact_balanced_separator(g, C)
-        _, report = solve_sdp(g, C, SdpOptions(seed=0))
+        _, report = solve_sdp(g, C, seed=0)
         assert report.value <= alpha + 1e-5
 
 
 def test_sdp_single_edge_n2():
     g = Graph(2, ((0, 1),))
-    _, report = solve_sdp(g, C, SdpOptions(seed=0))
+    _, report = solve_sdp(g, C, seed=0)
     # balance forces |S| = 1, so the cut value is 1; spread makes the true
     # relaxation value 0.75
     assert report.value <= 1.0 + 1e-6
@@ -84,7 +85,7 @@ def test_sdp_single_edge_n2():
 
 def test_sdp_returned_gram_is_feasible():
     g = petersen_graph()
-    x, report = solve_sdp(g, C, SdpOptions(seed=3))
+    x, report = solve_sdp(g, C, seed=3)
     e = embedding_from_gram(x)
     rep = check_feasibility(
         e, RelaxationParams(2.0, C), tol_triangle=1e-6, tol_spread=1e-6
@@ -97,14 +98,14 @@ def test_sdp_never_above_warm_start():
     for seed in range(3):
         g = gnp_graph(7, 0.5, seed + 20)
         _, alpha = exact_balanced_separator(g, C)
-        _, report = solve_sdp(g, C, SdpOptions(seed=seed))
+        _, report = solve_sdp(g, C, seed=seed)
         assert report.value <= alpha + 1e-9
 
 
 def test_sdp_deterministic():
     g = cycle_graph(6)
-    _, r1 = solve_sdp(g, C, SdpOptions(seed=5))
-    _, r2 = solve_sdp(g, C, SdpOptions(seed=5))
+    _, r1 = solve_sdp(g, C, seed=5)
+    _, r2 = solve_sdp(g, C, seed=5)
     assert abs(r1.value - r2.value) <= 1e-12
 
 
@@ -152,8 +153,8 @@ def test_violated_triangles_found_by_perturbation_search():
 
 def test_sdp_orthonormal_warm_start():
     g = cycle_graph(4)
-    _, from_cut = solve_sdp(g, C, SdpOptions(seed=0))
-    _, from_ortho = solve_sdp(g, C, SdpOptions(seed=0, warm_start="orthonormal"))
+    _, from_cut = solve_sdp(g, C, seed=0)
+    from_ortho = solve_from_orthonormal(g)
     assert from_ortho.value == pytest.approx(from_cut.value, abs=1e-3)
 
 
@@ -161,7 +162,7 @@ def test_sdp_orthonormal_start_can_begin_infeasible():
     # n=2: identity Gram misses the spread bound (1 < 1.5) and the solver
     # must work its way into the feasible region
     g = Graph(2, ((0, 1),))
-    _, rep = solve_sdp(g, C, SdpOptions(seed=0, warm_start="orthonormal"))
+    rep = solve_from_orthonormal(g)
     assert rep.value == pytest.approx(0.75, abs=1e-3)
 
 
@@ -169,7 +170,7 @@ def test_sdp_beyond_oracle_cap_uses_orthonormal_start():
     # n > 20 has no exact warm start; the solver still returns a feasible
     # point at the stated tolerances
     g = gnp_graph(24, 0.2, 7)
-    x, rep = solve_sdp(g, C, SdpOptions(seed=0))
+    x, rep = solve_sdp(g, C, seed=0)
     assert rep.residuals.feasible
     assert rep.value >= 0.0
 
@@ -197,5 +198,5 @@ def test_sdp_matches_conic_reference_solver():
 
     for g in [complete_graph(3), cycle_graph(6), gnp_graph(7, 0.5, 2)]:
         ref = reference_value(g, C)
-        _, rep = solve_sdp(g, C, SdpOptions(seed=0))
+        _, rep = solve_sdp(g, C, seed=0)
         assert rep.value == pytest.approx(ref, abs=5e-5)
