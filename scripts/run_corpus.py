@@ -10,6 +10,7 @@ import csv
 import sys
 import time
 
+from sepkit.concave import STARTS
 from sepkit.corpus import acceptance_corpus, solve_corpus
 from sepkit.embeddings import embedding_from_gram
 from sepkit.rounding import PipelineOptions, pipeline
@@ -21,7 +22,7 @@ P_GRID = (0.5, 1.0, 1.5, 2.0)
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--starts", type=int, default=4)
+    ap.add_argument("--starts", type=int, default=STARTS)
     ap.add_argument("--rounding-seeds", type=int, default=8)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .concave import ConcaveOptions, solve_concave
+from .concave import STARTS, ConcaveOptions, solve_concave
 from .embeddings import Embedding, embedding_from_gram, gram_from_z
 from .graphs import (
     CapExceededError,
@@ -26,12 +26,7 @@ from .graphs import (
     load_graph,
 )
 from .records import batch_rows_to_csv, experiment_record, record_to_json
-from .rounding import (
-    PipelineOptions,
-    RoundingParams,
-    gaussian_projection_test,
-    pipeline,
-)
+from .rounding import PipelineOptions, gaussian_projection_test, pipeline
 from .sdp import solve_sdp
 from .solver_core import NonconvergedError
 from .verify import SUITES, run_suites
@@ -115,14 +110,12 @@ def cmd_solve(args):
 
 
 def _pipeline_options(args):
-    rounding = RoundingParams(
+    return PipelineOptions(
         delta=args.delta,
         sigma=args.sigma,
-        c_prime=args.c_prime,
-        b_const=args.b_const,
-    )
-    return PipelineOptions(
-        rounding=rounding, retries=args.retries, seed=args.seed, starts=args.starts
+        retries=args.retries,
+        seed=args.seed,
+        starts=args.starts,
     )
 
 
@@ -133,8 +126,6 @@ def _pipeline_config(graph, args):
     return {
         **_solve_config(graph, args),
         "sigma": args.sigma,
-        "c_prime": args.c_prime,
-        "b_const": args.b_const,
         "retries": args.retries,
         "delta": args.delta,
         "embedding": args.embedding,
@@ -250,7 +241,7 @@ def build_parser():
     sp.add_argument("--graph", required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--starts", type=int, default=8)
+    sp.add_argument("--starts", type=int, default=STARTS)
     sp.add_argument("--out-matrix")
     sp.add_argument("--out-embedding")
     sp.add_argument("--out")
@@ -263,11 +254,9 @@ def build_parser():
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--delta", type=float)
-    sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--c-prime", type=float, default=None)
-    sp.add_argument("--b-const", type=float, default=1.0)
-    sp.add_argument("--retries", type=int, default=64)
-    sp.add_argument("--starts", type=int, default=4)
+    sp.add_argument("--sigma", type=float, default=PipelineOptions.sigma)
+    sp.add_argument("--retries", type=int, default=PipelineOptions.retries)
+    sp.add_argument("--starts", type=int, default=STARTS)
     sp.add_argument("--embedding", help="embedding JSON to round (skips the solve)")
     sp.add_argument("--relaxation-value", type=float)
     sp.add_argument("--out")

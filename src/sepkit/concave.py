@@ -45,11 +45,12 @@ from .sdp import SolveReport, cut_z_matrix, solve_sdp
 
 CONCAVE_N_CAP = 24
 GRAD_FLOOR = 1e-4  # d(z^{p/2})/dz is unbounded at 0; cap the linearization slope
+STARTS = 4  # default multistart width of every p < 2 solve
 
 
 @dataclass(frozen=True)
 class ConcaveOptions:
-    starts: int = 8
+    starts: int = STARTS
     seed: int = 0
 
     def __post_init__(self):
@@ -113,7 +114,7 @@ def _cut_start_members(g: Graph, c: float, starts: int, rng):
             if 0 in members:
                 pool.append((value, members))
         pool.sort(key=lambda t: (t[0], t[1]))
-        chosen = [pool[0]] if pool else []
+        chosen = [pool[0]]
         rest = pool[1:]
         if rest and starts > 1:
             idx = rng.choice(len(rest), size=min(starts - 1, len(rest)), replace=False)
@@ -221,8 +222,6 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
         if best is None or f < best[0] - 1e-15:
             best = (f, z, idx)
             certified, converged = cert, conv
-    if best is None:
-        raise core.NonconvergedError("no start produced a feasible point")
     if not certified:
         raise core.NonconvergedError(
             f"no linearization fixed point within MAX_OUTER={MAX_OUTER}",
@@ -243,7 +242,7 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
 
 
 def solve_relaxation(
-    g: Graph, c: float, p: float, *, seed: int = 0, starts: int = 4
+    g: Graph, c: float, p: float, *, seed: int = 0, starts: int = STARTS
 ) -> tuple[GramForm, SolveReport]:
     """Solve the exponent-p program for any 0 < p <= 2; returns (GramForm,
     SolveReport).

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .concave import solve_relaxation
+from .concave import STARTS, solve_relaxation
 from .graphs import Graph, exact_balanced_separator
 
 
@@ -73,7 +73,7 @@ def acceptance_corpus():
     return named
 
 
-def solve_corpus(graphs, c: float, exponents, *, seed: int = 0, starts: int = 4):
+def solve_corpus(graphs, c: float, exponents, *, seed: int = 0, starts: int = STARTS):
     """Solve every (name, graph) at every exponent in order.
 
     Yields (name, g, alpha, p, x, report): alpha is the exact c-balanced

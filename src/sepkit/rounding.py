@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .concave import solve_relaxation
+from .concave import STARTS, solve_relaxation
 from .embeddings import Embedding, embedding_from_gram, objective
 from .graphs import (
     BRUTE_FORCE_CAP,
@@ -31,19 +31,17 @@ class RoundingError(RuntimeError):
 
 @dataclass(frozen=True)
 class RoundingParams:
-    """Knobs of the set-find stage.  delta=None means use delta_target."""
+    """Inputs of one set-find round: separation delta, output balance c_prime
+    and projection margin sigma."""
 
-    delta: float | None = None
+    delta: float
+    c_prime: float
     sigma: float = 1.0
-    c_prime: float | None = None  # None: c/4, filled in by the pipeline
-    b_const: float = 1.0
 
     def __post_init__(self):
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.sigma <= 0 or self.b_const <= 0:
-            raise ValueError("sigma and b_const must be positive")
-        if self.c_prime is not None and not (0.0 < self.c_prime < 0.5):
+        if self.delta <= 0 or self.sigma <= 0:
+            raise ValueError("delta and sigma must be positive")
+        if not (0.0 < self.c_prime < 0.5):
             raise ValueError("c_prime must lie in (0, 1/2)")
 
 
@@ -59,16 +57,15 @@ class SetFindResult:
     sets: SeparatedSets
     halted: bool  # stopped at the size check before deletion
     deleted_pairs: tuple
-    median: float
 
 
-def delta_target(n: int, p: float, b: float = 1.0) -> float:
-    """Separation target b * (ln n)^(-(1 + p/2)/3)."""
+def delta_target(n: int, p: float) -> float:
+    """Separation target (ln n)^(-(1 + p/2)/3)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if p <= 0 or b <= 0:
-        raise ValueError("p and b must be positive")
-    return b * math.log(n) ** (-(1.0 + p / 2.0) / 3.0)
+    if p <= 0:
+        raise ValueError("p must be positive")
+    return math.log(n) ** (-(1.0 + p / 2.0) / 3.0)
 
 
 def random_unit_vector(d: int, rng) -> np.ndarray:
@@ -96,8 +93,6 @@ def modified_set_find(
     which keeps both margins meaningful.  Success means both sides still hold
     at least c'n vectors after deletion.
     """
-    if params.delta is None or params.c_prime is None:
-        raise ValueError("set-find needs explicit delta and c_prime")
     n, d = e.n, e.d
     u = np.asarray(direction, dtype=float) if direction is not None else random_unit_vector(d, rng)
     proj = e.vectors @ u
@@ -112,7 +107,6 @@ def modified_set_find(
             sets=SeparatedSets(tuple(s_prime), tuple(t_prime)),
             halted=True,
             deleted_pairs=(),
-            median=med,
         )
     dist = e.distance_matrix() ** p
     alive_s = dict.fromkeys(s_prime, True)
@@ -137,7 +131,6 @@ def modified_set_find(
         sets=SeparatedSets(s_side, t_side),
         halted=False,
         deleted_pairs=tuple(deleted),
-        median=med,
     )
 
 
@@ -214,10 +207,14 @@ class PipelineReport:
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    rounding: RoundingParams = RoundingParams()
+    """Settings of one pipeline run.  delta=None means delta_target(n, p);
+    the set-find balance c' is always c/4."""
+
+    delta: float | None = None
+    sigma: float = 1.0
     retries: int = 64
     seed: int = 0
-    starts: int = 4  # concave multistart width
+    starts: int = STARTS  # concave multistart width
 
 
 def attempt_rng(seed: int, attempt: int):
@@ -242,6 +239,11 @@ def pipeline(
     """
     if len(balanced_size_range(g.n, c)) == 0:
         raise InfeasibleBalanceError(f"no c-balanced subset size for c={c}, n={g.n}")
+    params = RoundingParams(
+        delta=opts.delta if opts.delta is not None else delta_target(g.n, p),
+        c_prime=c / 4.0,
+        sigma=opts.sigma,
+    )
     if embedding is None:
         x, rep = solve_relaxation(g, c, p, seed=opts.seed, starts=opts.starts)
         embedding = embedding_from_gram(x)
@@ -249,49 +251,36 @@ def pipeline(
     elif relaxation_value is None:
         relaxation_value = objective(g, embedding, p)
 
-    params = opts.rounding
-    if params.c_prime is None:
-        params = replace(params, c_prime=c / 4.0)
-    delta = params.delta if params.delta is not None else delta_target(g.n, p, params.b_const)
-    params = replace(params, delta=delta)
-
     exact = None
     if g.n <= BRUTE_FORCE_CAP:
         _, exact = exact_balanced_separator(g, c)
 
+    cut, attempts = None, opts.retries
     for attempt in range(opts.retries):
         rng = attempt_rng(opts.seed, attempt)
         found = modified_set_find(embedding, p, params, rng)
-        if not found.success:
-            continue
-        cut = produce_cut(g, embedding, p, found.sets, delta, rng)
+        if found.success:
+            cut = produce_cut(g, embedding, p, found.sets, params.delta, rng)
+            attempts = attempt + 1
+            break
+
+    members = size = balance = ratio = None
+    if cut is not None:
+        members = cut.sorted_members()
         size = cut_size(g, cut)
-        k = len(cut.members)
+        k = len(members)
+        balance = min(k, g.n - k) / g.n
         denom = max(relaxation_value, exact) if exact is not None else relaxation_value
         ratio = size / denom if denom > 0 else (math.inf if size > 0 else 1.0)
-        return PipelineReport(
-            relaxation_value=relaxation_value,
-            cut_members=cut.sorted_members(),
-            cut_size=size,
-            balance=min(k, g.n - k) / g.n,
-            ratio=ratio,
-            attempts=attempt + 1,
-            succeeded=True,
-            delta=delta,
-            exact_value=exact,
-            p=p,
-            c=c,
-            seed=opts.seed,
-        )
     return PipelineReport(
         relaxation_value=relaxation_value,
-        cut_members=None,
-        cut_size=None,
-        balance=None,
-        ratio=None,
-        attempts=opts.retries,
-        succeeded=False,
-        delta=delta,
+        cut_members=members,
+        cut_size=size,
+        balance=balance,
+        ratio=ratio,
+        attempts=attempts,
+        succeeded=cut is not None,
+        delta=params.delta,
         exact_value=exact,
         p=p,
         c=c,

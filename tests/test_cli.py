@@ -97,6 +97,24 @@ def test_solve_flags_and_config_are_the_solver_inputs(c4_file, capsys):
     }
 
 
+def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
+    # `solve --p 1` and `pipeline --p 1` must round the same relaxation
+    code, record = run_json(
+        capsys, ["solve", "--graph", str(c4_file), "--p", "1", "--c", "0.25"]
+    )
+    assert code == 0
+    assert record["config"]["starts"] == 4
+
+
+def test_pipeline_rounding_flags_are_delta_and_sigma(c4_file, capsys):
+    # c' is always c/4 and delta_target has no scale: neither is a flag
+    base = ["pipeline", "--graph", str(c4_file), "--p", "2", "--c", "0.25"]
+    for flag, value in (("--b-const", "2"), ("--c-prime", "0.1")):
+        with pytest.raises(SystemExit) as exc:
+            main(base + [flag, value])
+        assert exc.value.code == 2
+
+
 def test_pipeline_batch_config_matches_single_graph(tmp_path, capsys):
     batch = tmp_path / "batch"
     batch.mkdir()
@@ -109,8 +127,11 @@ def test_pipeline_batch_config_matches_single_graph(tmp_path, capsys):
     main(["pipeline", "--batch", str(batch), "--records-dir", str(rec_dir)] + opts)
     batched = json.loads((rec_dir / "c4.record.json").read_text())
     assert batched["config"] == {**single["config"], "graph": "c4.txt"}
-    assert single["config"]["starts"] == 2
-    assert single["config"]["embedding"] is None
+    assert single["config"] == {
+        "graph": str(graph), "p": 1.0, "c": 0.25, "seed": 5, "starts": 2,
+        "sigma": 0.5, "retries": 3, "delta": None,
+        "embedding": None, "relaxation_value": None,
+    }
 
 
 def test_pipeline_record_and_determinism(c4_file, capsys):

@@ -25,9 +25,8 @@ FIXTURE_PARAMS = RoundingParams(delta=1.0, sigma=0.5, c_prime=1 / 8)
 
 
 def test_delta_target_examples():
-    assert delta_target(2981, 1.0, 1.0) == pytest.approx(8.0**-0.5, abs=2e-6)
-    assert delta_target(2981, 2.0, 1.0) == pytest.approx(8.0 ** (-2 / 3), abs=2e-6)
-    assert delta_target(2981, 1.0, 2.0) == pytest.approx(2 * 8.0**-0.5, abs=4e-6)
+    assert delta_target(2981, 1.0) == pytest.approx(8.0**-0.5, abs=2e-6)
+    assert delta_target(2981, 2.0) == pytest.approx(8.0 ** (-2 / 3), abs=2e-6)
     with pytest.raises(ValueError):
         delta_target(1, 1.0)
 
@@ -51,7 +50,6 @@ def test_set_find_fixture_antipodal_success():
     assert res.sets.s_side == (0, 1, 2, 3)
     assert res.sets.t_side == (4, 5, 6, 7)
     assert res.deleted_pairs == ()
-    assert -1.0 < res.median < 1.0
 
 
 def test_set_find_fixture_identical_vectors_fail():
@@ -73,8 +71,13 @@ def test_set_find_fixture_overlarge_delta_deletes_everything():
 
 
 def test_set_find_requires_explicit_thresholds():
-    with pytest.raises(ValueError):
-        modified_set_find(ANTIPODAL, 1.0, RoundingParams(), np.random.default_rng(0))
+    # delta and c_prime have no defaults: set-find never runs on a guess
+    for kwargs in ({}, {"delta": 1.0}, {"c_prime": 1 / 8}):
+        with pytest.raises(TypeError):
+            RoundingParams(**kwargs)
+    for bad in ({"delta": 0.0}, {"c_prime": 0.5}, {"sigma": -1.0}):
+        with pytest.raises(ValueError):
+            RoundingParams(**{"delta": 1.0, "c_prime": 1 / 8, **bad})
 
 
 def test_set_find_success_is_separated():
@@ -190,9 +193,7 @@ def test_pipeline_infeasible_balance():
 
 def test_pipeline_failure_is_report_not_error():
     # sigma so large that no projection can pass the margin test
-    opts = PipelineOptions(
-        rounding=RoundingParams(sigma=100.0), retries=3, seed=0
-    )
+    opts = PipelineOptions(sigma=100.0, retries=3, seed=0)
     rep = pipeline(cycle_graph(6), 0.25, 2.0, opts)
     assert not rep.succeeded
     assert rep.cut_members is None
