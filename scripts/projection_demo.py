@@ -21,7 +21,7 @@ def main():
     print(f"{'d':>5} {'x':>5} {'Pr<=':>9} {'3x':>7} {'Pr>=':>9} {'exp(-x^2/4)':>12}")
     for d in (10, 100, 1000):
         for x in (0.05, 0.1, 0.3, 1.0, 2.0, 3.0):
-            r = gaussian_projection_test(d, 1.0, x, args.samples, args.seed)
+            r = gaussian_projection_test(d, x, args.samples, args.seed)
             low = f"{r.bound_low:7.3f}" if r.bound_low is not None else "    n/a"
             high = f"{r.bound_high:12.4f}" if r.bound_high is not None else "         n/a"
             print(

@@ -42,7 +42,6 @@ from .embeddings import (
 from .sdp import SolveReport, solve_sdp
 from .concave import (
     ConcaveOptions,
-    HessianSample,
     check_concavity,
     feasible_point_from_cut,
     grid_oracle_n3,

@@ -2,20 +2,18 @@
 
 Subcommands: exact, solve, pipeline, verify, convert-dimacs, gaussian-test.
 Exit codes: 0 success, 1 verification or rounding failure, 2 usage/I-O error.
-SEPKIT_SEED provides the default seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .concave import STARTS, ConcaveOptions, solve_concave
-from .embeddings import Embedding, embedding_from_gram, gram_from_z
+from .concave import STARTS, solve_relaxation
+from .embeddings import Embedding, embedding_from_gram
 from .graphs import (
     CapExceededError,
     GraphParseError,
@@ -27,17 +25,12 @@ from .graphs import (
 )
 from .records import batch_rows_to_csv, experiment_record, record_to_json
 from .rounding import PipelineOptions, gaussian_projection_test, pipeline
-from .sdp import solve_sdp
 from .solver_core import NonconvergedError
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _default_seed():
-    return int(os.environ.get("SEPKIT_SEED", "0"))
 
 
 def _read_graph(path):
@@ -74,22 +67,11 @@ def _solve_config(graph, args):
 
 
 def cmd_solve(args):
-    if not (0.0 < args.p <= 2.0):
-        raise ValueError(f"p must lie in (0, 2], got {args.p}")
     g = _read_graph(args.graph)
-    if args.p == 2.0:
-        x, report = solve_sdp(g, args.c, seed=args.seed)
-        matrix_doc = x.to_json()
-        matrix_kind = "gram"
-        emb = embedding_from_gram(x)
-    else:
-        opts = ConcaveOptions(starts=args.starts, seed=args.seed)
-        z, report = solve_concave(g, args.c, args.p, opts)
-        matrix_doc = z.to_json()
-        matrix_kind = "z"
-        emb = embedding_from_gram(gram_from_z(z))
+    x, report = solve_relaxation(g, args.c, args.p, seed=args.seed, starts=args.starts)
+    emb = embedding_from_gram(x)
     if args.out_matrix:
-        Path(args.out_matrix).write_text(matrix_doc + "\n")
+        Path(args.out_matrix).write_text(x.to_json() + "\n")
     if args.out_embedding:
         Path(args.out_embedding).write_text(emb.to_json() + "\n")
     record = experiment_record(
@@ -98,7 +80,6 @@ def cmd_solve(args):
         {
             "n": g.n,
             "m": g.m,
-            "matrix_kind": matrix_kind,
             "relaxation_value": report.value,
             "iterations": report.iterations,
             "converged": report.converged,
@@ -205,10 +186,10 @@ def cmd_convert_dimacs(args):
 
 
 def cmd_gaussian_test(args):
-    result = gaussian_projection_test(args.d, args.l, args.x, args.samples, args.seed)
+    result = gaussian_projection_test(args.d, args.x, args.samples, args.seed)
     record = experiment_record(
         "gaussian-test",
-        {"d": args.d, "l": args.l, "x": args.x, "samples": args.samples, "seed": args.seed},
+        {"d": args.d, "x": args.x, "samples": args.samples, "seed": args.seed},
         {
             "empirical_low": result.empirical_low,
             "empirical_high": result.empirical_high,
@@ -228,7 +209,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(sp):
-        sp.add_argument("--seed", type=int, default=_default_seed())
+        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("exact", help="brute-force minimum c-balanced cut")
     sp.add_argument("--graph", required=True)
@@ -277,7 +258,6 @@ def build_parser():
 
     sp = sub.add_parser("gaussian-test", help="projection-lemma Monte Carlo")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--l", type=float, default=1.0)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--out")

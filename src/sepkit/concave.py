@@ -59,22 +59,11 @@ class ConcaveOptions:
 
 
 @dataclass(frozen=True)
-class HessianSample:
-    x: float
-    y: float
-    q: float
-    matrix: np.ndarray  # 2x2 symmetric
-
-
-@dataclass(frozen=True)
 class ConcavityReport:
-    q: float
-    samples: int
     max_eigenvalue: float
     max_fd_relative_error: float
     max_quadform_relative_error: float
     passed: bool
-    witness: tuple | None  # (x, y) of the worst offender when failing
 
 
 def feasible_point_from_cut(g: Graph, s: Cut, c: float | None = None) -> ZForm:
@@ -91,14 +80,14 @@ def feasible_point_from_cut(g: Graph, s: Cut, c: float | None = None) -> ZForm:
     return ZForm(cut_z_matrix(g, s.members))
 
 
-def objective_gradient(g: Graph, z: np.ndarray, p: float, floor: float = GRAD_FLOOR):
+def objective_gradient(g: Graph, z: np.ndarray, p: float):
     """Entrywise gradient of the concave Z-objective as a symmetric matrix
     (half weight per mirror entry), with the slope capped near z = 0."""
     n = z.shape[0]
     grad = np.zeros((n, n))
     scale = (p / 2.0) / 2.0 ** (p / 2.0)
     for i, j in g.edges:
-        coef = scale * max(float(z[i, j]), floor) ** (p / 2.0 - 1.0)
+        coef = scale * max(float(z[i, j]), GRAD_FLOOR) ** (p / 2.0 - 1.0)
         grad[i, j] += coef / 2.0
         grad[j, i] += coef / 2.0
     return grad
@@ -157,19 +146,24 @@ def _descend(g, c, p, z_start, f_start, seed):
     def subproblem(z, feas_tol):
         nonlocal iterations, converged
         grad = objective_gradient(g, z, p)
-        result = core.minimize_linear_zform(grad, g.n, p, rhs, z, tol=feas_tol, seed=seed)
+        result = core.minimize_linear_zform(grad, p, rhs, z, tol=feas_tol, seed=seed)
         iterations += result.iterations
         converged = converged and result.converged
         znew = ZForm(result.z)
         return znew.matrix, objective_z(g, znew, p)
 
+    def linearize(z, f, feas_tol):
+        """Step until a step gains less than INNER_TOL, at most MAX_OUTER
+        steps; returns (z, f, settled)."""
+        for _ in range(MAX_OUTER):
+            znew, fnew = subproblem(z, feas_tol)
+            if f - fnew < INNER_TOL:
+                return z, f, True
+            z, f = znew, fnew
+        return z, f, False
+
     # loose exploration
-    z, f = np.asarray(z_start, dtype=float), f_start
-    for _ in range(MAX_OUTER):
-        znew, fnew = subproblem(z, LOOSE_TOL)
-        if f - fnew < INNER_TOL:
-            break
-        z, f = znew, fnew
+    z, f, _ = linearize(np.asarray(z_start, dtype=float), f_start, LOOSE_TOL)
 
     # tight landing: anchor at a point that is feasible at solver precision
     # and no worse than the start
@@ -178,13 +172,8 @@ def _descend(g, c, p, z_start, f_start, seed):
         z1, f1 = np.asarray(z_start, dtype=float), f_start
 
     # tight descent to a linearization fixed point
-    z, f = z1, f1
-    for _ in range(MAX_OUTER):
-        znew, fnew = subproblem(z, TIGHT_TOL)
-        if f - fnew < INNER_TOL:
-            return z, f, iterations, True, converged
-        z, f = znew, fnew
-    return z, f, iterations, False, converged
+    z, f, certified = linearize(z1, f1, TIGHT_TOL)
+    return z, f, iterations, certified, converged
 
 
 def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOptions()):
@@ -249,16 +238,20 @@ def solve_relaxation(
 
     p = 2 runs `solve_sdp`; p < 2 runs `solve_concave` with `starts` and
     converts its Z to the Gram matrix, so every exponent hands back the same
-    kind of matrix.
+    kind of matrix.  Rejects p outside (0, 2] and starts < 1 at every p.
     """
+    if not (0.0 < p <= 2.0):
+        raise ValueError(f"p must lie in (0, 2], got {p}")
+    opts = ConcaveOptions(starts=starts, seed=seed)  # validates starts
     if p == 2.0:
         return solve_sdp(g, c, seed=seed)
-    z, report = solve_concave(g, c, p, ConcaveOptions(starts=starts, seed=seed))
+    z, report = solve_concave(g, c, p, opts)
     return gram_from_z(z), report
 
 
-def hessian_f(x: float, y: float, q: float) -> HessianSample:
-    """Closed-form Hessian of f(x, y) = (x^(1/q) + y^(1/q))^q for x, y > 0.
+def hessian_f(x: float, y: float, q: float) -> np.ndarray:
+    """Closed-form Hessian of f(x, y) = (x^(1/q) + y^(1/q))^q for x, y > 0,
+    as a symmetric 2 x 2 array.
 
     Negative semidefinite for q > 1, which is what makes the power-triangle
     region convex.
@@ -277,8 +270,7 @@ def hessian_f(x: float, y: float, q: float) -> HessianSample:
     f_xy = k * (x ** (-1.0 / q) + y ** (-1.0 / q)) ** (q - 2.0) * (x * y) ** (
         -1.0 / q
     )
-    h = np.array([[f_xx, f_xy], [f_xy, f_yy]])
-    return HessianSample(x=float(x), y=float(y), q=float(q), matrix=h)
+    return np.array([[f_xx, f_xy], [f_xy, f_yy]])
 
 
 def hessian_quadratic_form(x: float, y: float, q: float, alpha: float, beta: float):
@@ -315,14 +307,14 @@ def _fd_hessian(x, y, q, rel_h=1e-3):
     return np.array([[f_xx, f_xy], [f_xy, f_yy]])
 
 
-def check_concavity(
-    q: float,
-    samples: int = 1000,
-    seed: int = 0,
-    eig_tol: float = 1e-8,
-    fd_rel_tol: float = 1e-4,
-    quad_rel_tol: float = 1e-6,
-) -> ConcavityReport:
+# check_concavity's pass thresholds: largest Hessian eigenvalue, and relative
+# errors against central differences and against the factored quadratic form
+EIG_TOL = 1e-8
+FD_REL_TOL = 1e-4
+QUAD_REL_TOL = 1e-6
+
+
+def check_concavity(q: float, samples: int = 1000, seed: int = 0) -> ConcavityReport:
     """Sample (x, y) in (0, 2]^2 and verify, at every point, that the closed
     forms are negative semidefinite, match central finite differences, and
     match the factored quadratic form."""
@@ -332,12 +324,9 @@ def check_concavity(
     max_eig = -np.inf
     max_fd = 0.0
     max_quad = 0.0
-    witness = None
-    passed = True
     for _ in range(samples):
         x, y = rng.uniform(1e-3, 2.0, size=2)
-        sample = hessian_f(x, y, q)
-        h = sample.matrix
+        h = hessian_f(x, y, q)
         eig = float(np.linalg.eigvalsh(h)[1])
         fd = _fd_hessian(x, y, q)
         fd_err = float(
@@ -351,18 +340,11 @@ def check_concavity(
         max_eig = max(max_eig, eig)
         max_fd = max(max_fd, fd_err)
         max_quad = max(max_quad, quad_err)
-        if eig > eig_tol or fd_err > fd_rel_tol or quad_err > quad_rel_tol:
-            passed = False
-            if witness is None:
-                witness = (float(x), float(y))
     return ConcavityReport(
-        q=float(q),
-        samples=samples,
         max_eigenvalue=max_eig,
         max_fd_relative_error=max_fd,
         max_quadform_relative_error=max_quad,
-        passed=passed,
-        witness=witness,
+        passed=max_eig <= EIG_TOL and max_fd <= FD_REL_TOL and max_quad <= QUAD_REL_TOL,
     )
 
 

@@ -115,11 +115,6 @@ class GramForm:
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "matrix": self.matrix.tolist()}, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "GramForm":
-        doc = json.loads(text)
-        return GramForm(np.asarray(doc["matrix"], dtype=float))
-
 
 @dataclass(frozen=True)
 class ZForm:
@@ -135,14 +130,6 @@ class ZForm:
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "matrix": self.matrix.tolist()}, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ZForm":
-        doc = json.loads(text)
-        return ZForm(np.asarray(doc["matrix"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -232,13 +219,13 @@ def gram_from_embedding(e: Embedding) -> GramForm:
     return GramForm(x)
 
 
-def embedding_from_gram(x: GramForm, tol: float = TOL_PSD) -> Embedding:
-    """Factor X into unit-ish vectors: eigenvalues in [-tol, 0) clip to zero,
-    anything below -tol is rejected; the ambient dimension is the numerical
-    rank (relative cutoff), so meaningful small directions survive."""
+def embedding_from_gram(x: GramForm) -> Embedding:
+    """Factor X into unit-ish vectors: eigenvalues in [-TOL_PSD, 0) clip to
+    zero, anything below -TOL_PSD is rejected; the ambient dimension is the
+    numerical rank (relative cutoff), so meaningful small directions survive."""
     w, q = np.linalg.eigh(x.matrix)
-    if w[0] < -tol:
-        raise NotPsdError(f"minimum eigenvalue {w[0]:.3e} below -{tol:.1e}")
+    if w[0] < -TOL_PSD:
+        raise NotPsdError(f"minimum eigenvalue {w[0]:.3e} below -{TOL_PSD:.1e}")
     rank_floor = x.n * np.finfo(float).eps * max(float(w[-1]), 1.0)
     keep = w > rank_floor
     v = q[:, keep] * np.sqrt(w[keep])
@@ -256,14 +243,15 @@ def gram_from_z(z: ZForm) -> GramForm:
     return GramForm(x)
 
 
-def objective_z(g: Graph, z: ZForm, p: float, tol: float = 1e-9) -> float:
+def objective_z(g: Graph, z: ZForm, p: float) -> float:
     """(1/2^(p/2)) * sum over edges of z_ij^(p/2); equals the vector-form
-    objective whenever z derives from an embedding."""
+    objective whenever z derives from an embedding.  Rejects an edge entry
+    below -1e-9."""
     ea = g.edge_array()
     if len(ea) == 0:
         return 0.0
     vals = z.matrix[ea[:, 0], ea[:, 1]]
-    if np.min(vals, initial=0.0) < -tol:
+    if np.min(vals, initial=0.0) < -1e-9:
         raise ValueError(f"negative z entry {vals.min():.3e} outside tolerance")
     vals = np.maximum(vals, 0.0)
     return float(np.sum(vals ** (p / 2.0)) / 2.0 ** (p / 2.0))

@@ -216,6 +216,10 @@ class PipelineOptions:
     seed: int = 0
     starts: int = STARTS  # concave multistart width
 
+    def __post_init__(self):
+        if self.retries < 1:
+            raise ValueError(f"retries must be >= 1, got {self.retries}")
+
 
 def attempt_rng(seed: int, attempt: int):
     """Independent, reproducible stream for one set-find attempt."""
@@ -290,22 +294,22 @@ def pipeline(
 
 @dataclass(frozen=True)
 class ProjectionTestResult:
-    d: int
-    length: float
-    x: float
-    samples: int
-    empirical_low: float  # Pr{|<v,u>| <= x l / sqrt(d)}
-    empirical_high: float  # Pr{|<v,u>| >= x l / sqrt(d)}
+    empirical_low: float  # Pr{|<v,u>| <= x / sqrt(d)}
+    empirical_high: float  # Pr{|<v,u>| >= x / sqrt(d)}
     bound_low: float | None  # 3x, valid for x < 1
     bound_high: float | None  # e^{-x^2/4}, valid for x <= sqrt(d)/4
 
 
 def gaussian_projection_test(
-    d: int, length: float, x: float, samples: int = 100_000, seed: int = 0
+    d: int, x: float, samples: int = 100_000, seed: int = 0
 ) -> ProjectionTestResult:
     """Monte-Carlo estimate of both projection probabilities for a fixed
-    vector of the given length against uniform random unit directions.
-    Bounds outside their validity range come back as None."""
+    unit vector v in R^d against uniform random unit directions u.  The
+    vector's length cancels: |<v,u>| <= x l/sqrt(d) exactly when
+    |<v/l,u>| <= x/sqrt(d).  Bounds outside their validity range come back
+    as None."""
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples for a meaningful estimate")
     if x < 0:
@@ -313,17 +317,13 @@ def gaussian_projection_test(
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((samples, d))
     norms = np.linalg.norm(u, axis=1)
-    dots = np.abs(length * u[:, 0] / norms)
-    thr = x * length / math.sqrt(d)
+    dots = np.abs(u[:, 0] / norms)
+    thr = x / math.sqrt(d)
     emp_low = float(np.mean(dots <= thr))
     emp_high = float(np.mean(dots >= thr))
     bound_low = 3.0 * x if x < 1.0 else None
     bound_high = math.exp(-x * x / 4.0) if 0.0 < x <= math.sqrt(d) / 4.0 else None
     return ProjectionTestResult(
-        d=d,
-        length=length,
-        x=x,
-        samples=samples,
         empirical_low=emp_low,
         empirical_high=emp_high,
         bound_low=bound_low,

@@ -87,7 +87,6 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
     t0 = time.perf_counter()
     result = core.minimize_linear_zform(
         objective_matrix(g),
-        g.n,
         2.0,
         zform_spread_requirement(g.n, c),
         warm_start_z(g, c),

@@ -248,7 +248,6 @@ def _al_round(v, c_mat, rhs, p, mu, rho, flat, nu, floor, max_evals):
 
 def minimize_linear_zform(
     c_mat,
-    n,
     p,
     rhs,
     z0,
@@ -257,13 +256,16 @@ def minimize_linear_zform(
     seed=0,
     max_rounds=80,
 ):
-    """Minimize <C, Z> over the exponent-p feasible region, warm-started at z0.
+    """Minimize <C, Z> over the exponent-p feasible region, warm-started at
+    the n x n matrix z0.
 
     Returns the best feasible iterate seen (z0 itself counts when feasible);
     raises NonconvergedError if no iterate ever satisfied the constraints
     within tol.  The result is marked unconverged when the loop stopped at
     max_rounds or MAX_EVALS instead of settling on a stable feasible value.
     """
+    z0 = np.asarray(z0, dtype=float)
+    n = z0.shape[0]
     c_mat = symmetrize(np.asarray(c_mat, dtype=float))
     rng = np.random.default_rng(seed)
     batch = max(n, MIN_NEW_TRIANGLES)
@@ -271,7 +273,6 @@ def minimize_linear_zform(
     cscale = float(np.linalg.norm(c_mat))
     c_unit = c_mat / cscale if cscale > 0.0 else c_mat
 
-    z0 = np.asarray(z0, dtype=float)
     best = None  # (value, z)
     if spread_sum(z0) - rhs >= -tol and max_triangle_violation_z(z0, p) <= tol:
         best = (float(np.vdot(c_mat, z0)), z0.copy())

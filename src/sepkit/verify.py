@@ -71,7 +71,17 @@ def random_feasible_z(g: Graph, c: float, p: float, rng) -> np.ndarray:
     return z
 
 
-def suite_concavity(seed: int = 0, samples: int = 1000, slack: float = 1e-9) -> SuiteResult:
+# sample counts of the suites, and the slack of the concavity and convexity
+# comparisons
+SEGMENT_SAMPLES = 1000
+HESSIAN_SAMPLES = 100
+PROJECTION_SAMPLES = 100_000
+ROUNDTRIP_SAMPLES = 50
+SLACK = 1e-9
+SOUNDNESS_STARTS = 2  # multistart width of the quick soundness solves
+
+
+def suite_concavity(seed: int = 0) -> SuiteResult:
     """objective_z is concave along segments between feasible points."""
     res = SuiteResult("concavity", True)
     g = cycle_graph(8)
@@ -79,7 +89,7 @@ def suite_concavity(seed: int = 0, samples: int = 1000, slack: float = 1e-9) -> 
     rng = np.random.default_rng(seed)
     for p in (0.5, 1.0, 1.5):
         worst = np.inf
-        for _ in range(samples):
+        for _ in range(SEGMENT_SAMPLES):
             z1 = random_feasible_z(g, 0.25, p, rng)
             z2 = random_feasible_z(g, 0.25, p, rng)
             lam = float(rng.random())
@@ -89,11 +99,11 @@ def suite_concavity(seed: int = 0, samples: int = 1000, slack: float = 1e-9) -> 
                 g, ZForm(z2), p
             )
             worst = min(worst, lhs - rhs)
-        res.add(worst >= -slack, f"p={p}: min(obj(mix) - mix(obj)) = {worst:.3e} >= -{slack}")
+        res.add(worst >= -SLACK, f"p={p}: min(obj(mix) - mix(obj)) = {worst:.3e} >= -{SLACK}")
     return res
 
 
-def suite_convexity(seed: int = 0, samples: int = 1000, slack: float = 1e-9) -> SuiteResult:
+def suite_convexity(seed: int = 0) -> SuiteResult:
     """Convex combinations of feasible points stay feasible: the PSD part
     (sum of PSD matrices) and the power-triangle region separately."""
     res = SuiteResult("convexity", True)
@@ -104,14 +114,14 @@ def suite_convexity(seed: int = 0, samples: int = 1000, slack: float = 1e-9) -> 
         ok = True
         worst_spread = worst_eig = np.inf
         worst_tri = 0.0
-        for _ in range(samples):
+        for _ in range(SEGMENT_SAMPLES):
             z1 = random_feasible_z(g, 0.25, p, rng)
             z2 = random_feasible_z(g, 0.25, p, rng)
             lam = float(rng.random())
             mix = lam * z1 + (1.0 - lam) * z2
-            # spread and triangles judged at slack in Z units, PSD at -slack
-            rep = check_feasibility_z(mix, params, slack, slack)
-            ok = ok and rep.feasible and rep.min_eigenvalue >= -slack
+            # spread and triangles judged at SLACK in Z units, PSD at -SLACK
+            rep = check_feasibility_z(mix, params, SLACK, SLACK)
+            ok = ok and rep.feasible and rep.min_eigenvalue >= -SLACK
             worst_spread = min(worst_spread, rep.spread_slack)
             worst_tri = max(worst_tri, rep.max_triangle_violation)
             worst_eig = min(worst_eig, rep.min_eigenvalue)
@@ -123,10 +133,10 @@ def suite_convexity(seed: int = 0, samples: int = 1000, slack: float = 1e-9) -> 
     return res
 
 
-def suite_hessian(seed: int = 0, samples: int = 100) -> SuiteResult:
+def suite_hessian(seed: int = 0) -> SuiteResult:
     res = SuiteResult("hessian", True)
     for q in (4.0 / 3.0, 2.0, 4.0):
-        rep = check_concavity(q, samples=samples, seed=seed)
+        rep = check_concavity(q, samples=HESSIAN_SAMPLES, seed=seed)
         res.add(
             rep.passed,
             f"q={q:.4g}: max eig {rep.max_eigenvalue:.2e}, fd rel {rep.max_fd_relative_error:.2e}, "
@@ -139,19 +149,19 @@ def binomial_slack(bound: float, samples: int) -> float:
     return 3.0 * math.sqrt(max(bound * (1.0 - bound), 1.0 / samples) / samples)
 
 
-def suite_gaussian(seed: int = 0, samples: int = 100_000) -> SuiteResult:
+def suite_gaussian(seed: int = 0) -> SuiteResult:
     res = SuiteResult("gaussian", True)
     for d in (10, 100):
         for x in (0.05, 0.1, 0.3):
-            r = gaussian_projection_test(d, 1.0, x, samples, seed)
-            ok = r.empirical_low <= r.bound_low + binomial_slack(r.bound_low, samples)
+            r = gaussian_projection_test(d, x, PROJECTION_SAMPLES, seed)
+            ok = r.empirical_low <= r.bound_low + binomial_slack(r.bound_low, PROJECTION_SAMPLES)
             res.add(ok, f"d={d} x={x}: Pr<= {r.empirical_low:.4f} vs 3x={r.bound_low:.2f}")
         for x in (1.0, 2.0, 3.0):
-            r = gaussian_projection_test(d, 1.0, x, samples, seed)
+            r = gaussian_projection_test(d, x, PROJECTION_SAMPLES, seed)
             if r.bound_high is None:
                 res.lines.append(f"SKIP d={d} x={x}: x > sqrt(d)/4, tail bound not applicable")
                 continue
-            ok = r.empirical_high <= r.bound_high + binomial_slack(r.bound_high, samples)
+            ok = r.empirical_high <= r.bound_high + binomial_slack(r.bound_high, PROJECTION_SAMPLES)
             res.add(
                 ok,
                 f"d={d} x={x}: Pr>= {r.empirical_high:.4f} vs e^(-x^2/4)={r.bound_high:.4f}",
@@ -159,11 +169,11 @@ def suite_gaussian(seed: int = 0, samples: int = 100_000) -> SuiteResult:
     return res
 
 
-def suite_roundtrip(seed: int = 0, samples: int = 50) -> SuiteResult:
+def suite_roundtrip(seed: int = 0) -> SuiteResult:
     res = SuiteResult("roundtrip", True)
     rng = np.random.default_rng(seed)
     worst_gram = 0.0
-    for _ in range(samples):
+    for _ in range(ROUNDTRIP_SAMPLES):
         n = int(rng.integers(2, 9))
         d = int(rng.integers(1, n + 1))
         v = rng.standard_normal((n, d))
@@ -184,7 +194,7 @@ def suite_roundtrip(seed: int = 0, samples: int = 50) -> SuiteResult:
     return res
 
 
-def suite_soundness(seed: int = 0, starts: int = 2) -> SuiteResult:
+def suite_soundness(seed: int = 0) -> SuiteResult:
     """Quick solver-vs-oracle check on a small corpus (the acceptance suite
     runs the full one)."""
     res = SuiteResult("soundness", True)
@@ -196,7 +206,7 @@ def suite_soundness(seed: int = 0, starts: int = 2) -> SuiteResult:
         ("gnp6", gnp_graph(6, 0.5, 0)),
     ]
     for name, _, alpha, p, _, rep in solve_corpus(
-        graphs, 0.25, (0.5, 1.0, 1.5, 2.0), seed=seed, starts=starts
+        graphs, 0.25, (0.5, 1.0, 1.5, 2.0), seed=seed, starts=SOUNDNESS_STARTS
     ):
         res.add(
             rep.value <= alpha + 1e-5,

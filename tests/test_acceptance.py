@@ -103,8 +103,8 @@ def test_criterion_2_cut_embedding_exactness():
 
 
 def test_criterion_3_concavity_suite():
-    conc = suite_concavity(seed=0, samples=1000, slack=1e-9)
-    conv = suite_convexity(seed=1, samples=1000, slack=1e-9)
+    conc = suite_concavity(seed=0)
+    conv = suite_convexity(seed=1)
     ok = conc.passed and conv.passed
     announce(3, "concavity + convex-combination feasibility", ok)
     for line in conc.lines + conv.lines:
@@ -114,7 +114,7 @@ def test_criterion_3_concavity_suite():
 
 def test_criterion_4_hessian_suite():
     t0 = time.perf_counter()
-    suite = suite_hessian(seed=0, samples=100)
+    suite = suite_hessian(seed=0)
     elapsed = time.perf_counter() - t0
     ok = suite.passed and elapsed < 10.0
     announce(4, "hessian closed forms", ok, f"[{elapsed:.2f}s]")
@@ -126,7 +126,7 @@ def test_criterion_4_hessian_suite():
 
 
 def test_criterion_5_projection_lemma():
-    suite = suite_gaussian(seed=0, samples=100_000)
+    suite = suite_gaussian(seed=0)
     announce(5, "projection lemma Monte Carlo", suite.passed)
     for line in suite.lines:
         print("   ", line)

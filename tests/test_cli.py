@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from sepkit.cli import main
@@ -59,15 +60,15 @@ def test_solve_p2_writes_matrix(c4_file, tmp_path, capsys):
     )
     assert code == 0
     assert record["results"]["relaxation_value"] <= 2.0 + 1e-5
-    assert record["results"]["matrix_kind"] == "gram"
     assert record["results"]["converged"] is True
     doc = json.loads(out_matrix.read_text())
     assert doc["n"] == 4
     assert len(doc["matrix"]) == 4
 
 
-def test_solve_p1_emits_z(c4_file, tmp_path, capsys):
-    out_matrix = tmp_path / "z.json"
+def test_solve_p1_writes_gram_matrix(c4_file, tmp_path, capsys):
+    # --out-matrix holds X = 1 - Z at every exponent
+    out_matrix = tmp_path / "gram.json"
     code, record = run_json(
         capsys,
         [
@@ -76,9 +77,11 @@ def test_solve_p1_emits_z(c4_file, tmp_path, capsys):
         ],
     )
     assert code == 0
-    assert record["results"]["matrix_kind"] == "z"
+    assert "matrix_kind" not in record["results"]
     assert record["results"]["converged"] is True
     assert record["results"]["relaxation_value"] <= 2.0 + 1e-5
+    x = np.array(json.loads(out_matrix.read_text())["matrix"])
+    assert np.array_equal(np.diag(x), np.ones(4))
 
 
 def test_solve_flags_and_config_are_the_solver_inputs(c4_file, capsys):
@@ -104,6 +107,24 @@ def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
     )
     assert code == 0
     assert record["config"]["starts"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--retries", "-3"],
+        ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--retries", "0"],
+        ["solve", "--graph", "C4", "--p", "2", "--c", "0.25", "--starts", "0"],
+        ["gaussian-test", "--d", "0", "--x", "0.1"],
+    ],
+    ids=["pipeline-retries-3", "pipeline-retries0", "solve-p2-starts0", "gaussian-d0"],
+)
+def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
+    code = main([str(c4_file) if a == "C4" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_pipeline_rounding_flags_are_delta_and_sigma(c4_file, capsys):
@@ -241,6 +262,10 @@ def test_gaussian_test_record(capsys):
     )
     assert code == 0
     assert record["results"]["empirical_low"] <= record["results"]["bound_low"]
+    assert record["config"] == {"d": 25, "x": 0.1, "samples": 20000, "seed": 3}
+    with pytest.raises(SystemExit) as exc:
+        main(["gaussian-test", "--d", "25", "--x", "0.1", "--l", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_unknown_suite_exit_2(capsys):
@@ -265,12 +290,13 @@ def test_verify_soundness_suite(capsys):
 
 
 def test_seed_env_default(c4_file, capsys, monkeypatch):
-    monkeypatch.setenv("SEPKIT_SEED", "123")
+    # the default seed is 0; no environment variable changes it
+    monkeypatch.setenv("SEPKIT_SEED", "abc")
     code, record = run_json(
         capsys, ["pipeline", "--graph", str(c4_file), "--p", "2", "--c", "0.25"]
     )
     assert code == 0
-    assert record["config"]["seed"] == 123
+    assert record["config"]["seed"] == 0
 
 
 def test_solve_then_round_artifact_flow(c4_file, tmp_path, capsys):

@@ -37,9 +37,9 @@ def test_options_validation():
 
 
 def test_hessian_at_unit_point_q2():
-    s = hessian_f(1.0, 1.0, 2.0)
-    assert np.allclose(s.matrix, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-12)
-    eigs = np.linalg.eigvalsh(s.matrix)
+    h = hessian_f(1.0, 1.0, 2.0)
+    assert np.allclose(h, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-12)
+    eigs = np.linalg.eigvalsh(h)
     assert eigs[0] == pytest.approx(-1.0, abs=1e-12)
     assert eigs[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -47,8 +47,8 @@ def test_hessian_at_unit_point_q2():
 def test_hessian_symmetric_on_diagonal_points():
     for q in (4.0 / 3.0, 2.0, 4.0):
         for t in (0.3, 1.0, 1.7):
-            s = hessian_f(t, t, q)
-            assert s.matrix[0, 0] == pytest.approx(s.matrix[1, 1], rel=1e-12)
+            h = hessian_f(t, t, q)
+            assert h[0, 0] == pytest.approx(h[1, 1], rel=1e-12)
 
 
 def test_hessian_domain_errors():
@@ -66,7 +66,7 @@ def test_quadratic_form_matches_hessian_directly():
         x, y = rng.uniform(0.05, 2.0, size=2)
         q = rng.uniform(1.1, 5.0)
         a, b = rng.uniform(-2.0, 2.0, size=2)
-        h = hessian_f(x, y, q).matrix
+        h = hessian_f(x, y, q)
         direct = np.array([a, b]) @ h @ np.array([a, b])
         factored = hessian_quadratic_form(x, y, q, a, b)
         assert factored == pytest.approx(direct, rel=1e-9, abs=1e-12)
@@ -108,11 +108,11 @@ def test_linear_subproblem_two_vertex_hand_cases():
     up = np.array([[0.0, 0.5], [0.5, 0.0]])
     rhs = zform_spread_requirement(g.n, C)
     z0 = np.array([[0.0, 2.0], [2.0, 0.0]])
-    z = core.minimize_linear_zform(up, g.n, 1.0, rhs, z0, tol=1e-6, seed=0).z
+    z = core.minimize_linear_zform(up, 1.0, rhs, z0, tol=1e-6, seed=0).z
     assert z[0, 1] == pytest.approx(2 * C * (1 - C) * 4, abs=1e-5)
     # from the orthonormal start, z01 = 1, below the spread bound
     z0 = 1.0 - np.eye(g.n)
-    z = core.minimize_linear_zform(-up, g.n, 1.0, rhs, z0, tol=1e-6, seed=0).z
+    z = core.minimize_linear_zform(-up, 1.0, rhs, z0, tol=1e-6, seed=0).z
     assert z[0, 1] == pytest.approx(2.0, abs=1e-5)
 
 
@@ -167,7 +167,7 @@ def test_solve_concave_local_minimality_certificate():
     z, rep = solve_concave(g, C, 1.0, ConcaveOptions(starts=3, seed=0))
     grad = objective_gradient(g, z.matrix, 1.0)
     znext = core.minimize_linear_zform(
-        grad, g.n, 1.0, zform_spread_requirement(g.n, C), z.matrix, tol=1e-6, seed=0
+        grad, 1.0, zform_spread_requirement(g.n, C), z.matrix, tol=1e-6, seed=0
     ).z
     improvement = rep.value - objective_z(g, ZForm(znext), 1.0)
     assert improvement < concave.INNER_TOL

@@ -219,27 +219,29 @@ def test_attempt_rng_streams_are_stable():
 
 
 def test_gaussian_projection_bounds():
-    r = gaussian_projection_test(100, 1.0, 0.1, 100_000, seed=0)
+    r = gaussian_projection_test(100, 0.1, 100_000, seed=0)
     assert r.empirical_low == pytest.approx(0.08, abs=0.02)
     assert r.empirical_low <= r.bound_low
-    r = gaussian_projection_test(100, 1.0, 2.0, 100_000, seed=0)
+    r = gaussian_projection_test(100, 2.0, 100_000, seed=0)
     assert r.empirical_high <= r.bound_high
     assert r.bound_high == pytest.approx(math.exp(-1.0))
 
 
 def test_gaussian_projection_zero_width():
-    r = gaussian_projection_test(50, 1.0, 0.0, 10_000, seed=1)
+    r = gaussian_projection_test(50, 0.0, 10_000, seed=1)
     assert r.empirical_low == 0.0
     assert r.bound_low == 0.0
     assert r.bound_high is None  # x = 0 outside the tail bound's range
 
 
 def test_gaussian_projection_validity_ranges():
-    r = gaussian_projection_test(10, 1.0, 3.0, 10_000, seed=0)
+    r = gaussian_projection_test(10, 3.0, 10_000, seed=0)
     assert r.bound_high is None  # 3 > sqrt(10)/4
     assert r.bound_low is None  # 3 >= 1
-    r = gaussian_projection_test(100, 2.0, 1.5, 10_000, seed=0)
+    r = gaussian_projection_test(100, 1.5, 10_000, seed=0)
     assert r.bound_low is None
     assert r.bound_high is not None
     with pytest.raises(ValueError):
-        gaussian_projection_test(10, 1.0, 0.5, 100)
+        gaussian_projection_test(10, 0.5, 100)
+    with pytest.raises(ValueError):
+        gaussian_projection_test(0, 0.1, 10_000)

@@ -31,7 +31,7 @@ def solve_from_orthonormal(g):
     """The p = 2 core run as solve_sdp runs it, but from the orthonormal
     start (identity Gram) that solve_sdp takes only above the oracle cap."""
     return core.minimize_linear_zform(
-        objective_matrix(g), g.n, 2.0, zform_spread_requirement(g.n, C),
+        objective_matrix(g), 2.0, zform_spread_requirement(g.n, C),
         1.0 - np.eye(g.n), tol=Z_TOL, seed=0,
     )
 
@@ -41,11 +41,11 @@ def test_linear_subproblem_hand_cases_two_vertices():
     rhs = 1.5
     z0 = np.array([[0.0, 2.0], [2.0, 0.0]])
     up = np.array([[0.0, 0.5], [0.5, 0.0]])
-    res = core.minimize_linear_zform(up, 2, 1.0, rhs, z0, seed=1)
+    res = core.minimize_linear_zform(up, 1.0, rhs, z0, seed=1)
     assert res.z[0, 1] == pytest.approx(1.5, abs=1e-6)
-    res = core.minimize_linear_zform(-up, 2, 1.0, rhs, z0, seed=1)
+    res = core.minimize_linear_zform(-up, 1.0, rhs, z0, seed=1)
     assert res.z[0, 1] == pytest.approx(2.0, abs=1e-6)
-    res = core.minimize_linear_zform(np.zeros((2, 2)), 2, 1.0, rhs, z0, seed=1)
+    res = core.minimize_linear_zform(np.zeros((2, 2)), 1.0, rhs, z0, seed=1)
     assert core.spread_sum(res.z) - rhs >= -1e-6
     assert -1e-9 <= res.z[0, 1] <= 2.0 + 1e-9
 

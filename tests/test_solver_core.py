@@ -54,7 +54,7 @@ def test_scan_agrees_with_max_violation(p, tol, data):
 
 def test_round_cap_marks_result_unconverged():
     g = cycle_graph(8)
-    args = (objective_matrix(g), g.n, 2.0, zform_spread_requirement(g.n, 0.25),
+    args = (objective_matrix(g), 2.0, zform_spread_requirement(g.n, 0.25),
             cut_z_matrix(g, {0, 1, 2, 3}))
     capped = core.minimize_linear_zform(*args, max_rounds=2)
     assert capped.rounds == 2
@@ -69,7 +69,7 @@ def test_nonconverged_error_carries_best_iterate():
     c_mat = np.zeros((3, 3))
     with pytest.raises(core.NonconvergedError) as exc:
         core.minimize_linear_zform(
-            c_mat, 3, 2.0, rhs=50.0, z0=np.zeros((3, 3)), max_rounds=5
+            c_mat, 2.0, rhs=50.0, z0=np.zeros((3, 3)), max_rounds=5
         )
     assert exc.value.best_z is not None
     assert exc.value.best_z.shape == (3, 3)

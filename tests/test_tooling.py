@@ -1,14 +1,24 @@
-"""The bench's span tracer patches sepkit functions by name; these tests catch
-a rename or deletion of a traced name before a `--trace 1` run does."""
+"""The bench imports sepkit names, calls them with fixed arguments and
+patches some by name for its span tracer; these tests catch a rename,
+deletion or signature change of any of them before a bench run does.
+bench/run.py is parsed, not imported: importing it pins thread variables
+and edits sys.path."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-import sepkit.cli  # noqa: F401  (imports every traced module)
+import numpy as np
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from sepkit import cli, concave, sdp  # cli imports every traced module
+from sepkit.corpus import cycle_graph
+from sepkit.embeddings import GramForm, embedding_from_gram
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS_PATH = BENCH / "spans.py"
+RUN_PATH = BENCH / "run.py"
 
 
 def load_spans():
@@ -38,3 +48,59 @@ def test_tracer_reads_the_core_round_cap():
     params = inspect.signature(solver_core.minimize_linear_zform).parameters
     assert "max_rounds" in params
     assert load_spans().Tracer()._max_rounds == params["max_rounds"].default
+
+
+def bench_run_tree():
+    return ast.parse(RUN_PATH.read_text())
+
+
+def bench_sepkit_names(tree):
+    """(module, name) for every name bench/run.py imports from a sepkit
+    module, and every attribute it reads off a sepkit module it imports
+    under an alias."""
+    aliases = {}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("sepkit"):
+                    aliases[a.asname or a.name] = a.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sepkit"):
+            names.update((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add((aliases[node.value.id], node.attr))
+    return names
+
+
+def test_bench_sepkit_names_resolve():
+    names = bench_sepkit_names(bench_run_tree())
+    assert ("sepkit.concave", "solve_concave") in names
+    assert ("sepkit.cli", "main") in names
+    for mod_name, name in sorted(names):
+        mod = importlib.import_module(mod_name)
+        assert hasattr(mod, name), f"{mod_name}.{name}"
+
+
+def test_bench_call_shapes_bind():
+    g = cycle_graph(4)
+    inspect.signature(concave.solve_concave).bind(
+        g, 0.25, 1.0, concave.ConcaveOptions(starts=4, seed=0)
+    )
+    inspect.signature(sdp.solve_sdp).bind(g, 0.25)
+    inspect.signature(embedding_from_gram).bind(GramForm(np.eye(4)))
+
+
+def test_bench_pipeline_argv_parses():
+    # the bench's one `pipeline` argv literal, with a placeholder value for
+    # every element that is computed at run time
+    lists = [node for node in ast.walk(bench_run_tree())
+             if isinstance(node, ast.List) and node.elts
+             and isinstance(node.elts[0], ast.Constant) and node.elts[0].value == "pipeline"]
+    assert len(lists) == 1
+    argv = [e.value if isinstance(e, ast.Constant) else "1" for e in lists[0].elts]
+    args = cli.build_parser().parse_args(argv)
+    assert args.func is cli.cmd_pipeline
+    for flag in (a for a in argv if a.startswith("--")):
+        assert getattr(args, flag.lstrip("-").replace("-", "_")) is not None, flag
