@@ -10,7 +10,6 @@ from .graphs import (
     Graph,
     GraphParseError,
     InfeasibleBalanceError,
-    UndefinedSparsityError,
     balanced_size_range,
     cut_size,
     dump_graph,
@@ -18,7 +17,6 @@ from .graphs import (
     is_c_balanced,
     load_dimacs,
     load_graph,
-    sparsity,
 )
 from .embeddings import (
     Embedding,
@@ -35,7 +33,6 @@ from .embeddings import (
     gram_from_z,
     objective,
     objective_z,
-    spread,
     z_from_gram,
     zform_spread_requirement,
 )
@@ -43,7 +40,6 @@ from .sdp import SolveReport, solve_sdp
 from .concave import (
     ConcaveOptions,
     check_concavity,
-    feasible_point_from_cut,
     grid_oracle_n3,
     hessian_f,
     hessian_quadratic_form,

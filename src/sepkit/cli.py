@@ -15,6 +15,7 @@ from pathlib import Path
 from .concave import STARTS, solve_relaxation
 from .embeddings import Embedding, embedding_from_gram
 from .graphs import (
+    BRUTE_FORCE_CAP,
     CapExceededError,
     GraphParseError,
     InfeasibleBalanceError,
@@ -214,7 +215,7 @@ def build_parser():
     sp = sub.add_parser("exact", help="brute-force minimum c-balanced cut")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--cap", type=int, default=20)
+    sp.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_exact)
 

@@ -33,13 +33,11 @@ from .embeddings import (
 )
 from .graphs import (
     BRUTE_FORCE_CAP,
-    Cut,
     Graph,
     InfeasibleBalanceError,
     balanced_size_range,
     brute_force_cut_values,
     exact_balanced_separator,
-    is_c_balanced,
 )
 from .sdp import SolveReport, cut_z_matrix, solve_sdp
 
@@ -64,20 +62,6 @@ class ConcavityReport:
     max_fd_relative_error: float
     max_quadform_relative_error: float
     passed: bool
-
-
-def feasible_point_from_cut(g: Graph, s: Cut, c: float | None = None) -> ZForm:
-    """Z of a cut embedding: 0 within sides, 2 across; objective equals the
-    cut size for every exponent.  With c given, rejects non-balanced cuts."""
-    s.validate(g)
-    k = len(s.members)
-    if k == 0 or k == g.n:
-        raise InfeasibleBalanceError(f"cut side size {k} of n={g.n} is degenerate")
-    if c is not None and not is_c_balanced(g, s, c):
-        raise InfeasibleBalanceError(
-            f"|S|={k} violates {c}*{g.n} < |S| < {(1 - c) * g.n}"
-        )
-    return ZForm(cut_z_matrix(g, s.members))
 
 
 def objective_gradient(g: Graph, z: np.ndarray, p: float):
@@ -212,10 +196,7 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
             best = (f, z, idx)
             certified, converged = cert, conv
     if not certified:
-        raise core.NonconvergedError(
-            f"no linearization fixed point within MAX_OUTER={MAX_OUTER}",
-            best_z=best[1],
-        )
+        raise core.NonconvergedError(f"no linearization fixed point within MAX_OUTER={MAX_OUTER}")
     value, z, _ = best
     zform = ZForm(z)
     report = SolveReport(
@@ -292,9 +273,9 @@ def _f_power(x, y, q):
     return (x ** (1.0 / q) + y ** (1.0 / q)) ** q
 
 
-def _fd_hessian(x, y, q, rel_h=1e-3):
-    hx = rel_h * x
-    hy = rel_h * y
+def _fd_hessian(x, y, q):
+    hx = 1e-3 * x
+    hy = 1e-3 * y
     f = _f_power
     f_xx = (f(x + hx, y, q) - 2.0 * f(x, y, q) + f(x - hx, y, q)) / hx**2
     f_yy = (f(x, y + hy, q) - 2.0 * f(x, y, q) + f(x, y - hy, q)) / hy**2

@@ -109,9 +109,6 @@ class GramForm:
     def n(self):
         return self.matrix.shape[0]
 
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "matrix": self.matrix.tolist()}, sort_keys=True)
 
@@ -165,12 +162,6 @@ def objective(g: Graph, e: Embedding, p: float) -> float:
     return float(np.sum(dist**p) / 2.0**p)
 
 
-def spread(e: Embedding) -> float:
-    """Sum over all pairs i < j of squared distances."""
-    d = e.distance_matrix()
-    return spread_sum(d * d)
-
-
 def check_feasibility_z(z, params: RelaxationParams, tol_triangle, tol_spread):
     """Residuals of a Z matrix, judged in Z units, where the solvers enforce
     their tolerance: zero diagonal, sum_{i<j} z_ij >= 2c(1-c)n^2 within
@@ -197,7 +188,6 @@ def check_feasibility_z(z, params: RelaxationParams, tol_triangle, tol_spread):
 def check_feasibility(
     e: Embedding,
     params: RelaxationParams,
-    tol_unit: float = TOL_UNIT,
     tol_triangle: float = TOL_TRIANGLE,
     tol_spread: float = TOL_SPREAD,
 ) -> FeasibilityReport:
@@ -209,7 +199,7 @@ def check_feasibility(
     rep = check_feasibility_z(
         d * d / 2.0, params, tol_triangle / 2.0 ** (params.p / 2.0), tol_spread / 2.0
     )
-    return replace(rep, max_unit_violation=unit, feasible=rep.feasible and unit <= tol_unit)
+    return replace(rep, max_unit_violation=unit, feasible=rep.feasible and unit <= TOL_UNIT)
 
 
 def gram_from_embedding(e: Embedding) -> GramForm:

@@ -23,10 +23,6 @@ class CapExceededError(ValueError):
     """Instance is larger than the configured brute-force cap."""
 
 
-class UndefinedSparsityError(ValueError):
-    """Sparsity requested for an empty or full vertex set."""
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with a canonical edge tuple."""
@@ -68,9 +64,6 @@ class Cut:
 
     def sorted_members(self):
         return tuple(sorted(self.members))
-
-    def complement(self, n):
-        return Cut(set(range(n)) - self.members)
 
     def validate(self, g: Graph):
         for v in self.members:
@@ -163,15 +156,6 @@ def cut_size(g: Graph, s: Cut) -> int:
     s.validate(g)
     mem = s.members
     return sum((i in mem) != (j in mem) for i, j in g.edges)
-
-
-def sparsity(g: Graph, s: Cut) -> Fraction:
-    """|E(S, S-bar)| / |S| as an exact rational."""
-    s.validate(g)
-    k = len(s.members)
-    if k == 0 or k == g.n:
-        raise UndefinedSparsityError(f"sparsity undefined for |S|={k} with n={g.n}")
-    return Fraction(cut_size(g, s), k)
 
 
 def balanced_size_range(n: int, c) -> range:

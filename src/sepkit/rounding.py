@@ -238,9 +238,15 @@ def pipeline(
     and report the produced cut against the relaxation and the exact optimum.
 
     A precomputed embedding skips the solve; that is how the CLI chains a
-    stored solver artifact into the rounding stage.  The relaxation value then
-    defaults to the embedding's own objective at exponent p.
+    stored solver artifact into the rounding stage.  It must have one vector
+    per vertex of g.  The relaxation value then defaults to the embedding's
+    own objective at exponent p; a value without an embedding is rejected,
+    since the solve would replace it.
     """
+    if embedding is None and relaxation_value is not None:
+        raise ValueError("a relaxation value needs the embedding it was solved for")
+    if embedding is not None and embedding.n != g.n:
+        raise ValueError(f"embedding has {embedding.n} vectors, graph has {g.n} vertices")
     if len(balanced_size_range(g.n, c)) == 0:
         raise InfeasibleBalanceError(f"no c-balanced subset size for c={c}, n={g.n}")
     params = RoundingParams(

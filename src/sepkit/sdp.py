@@ -77,8 +77,8 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
     """Solve the p = 2 program; returns (GramForm, SolveReport).
 
     Raises InfeasibleBalanceError when no balanced subset size exists and
-    NonconvergedError (carrying the best iterate) when no feasible point was
-    found within the iteration budget.
+    NonconvergedError when no feasible point was found within the iteration
+    budget.
     """
     if g.n > SDP_N_CAP:
         raise ValueError(f"n={g.n} beyond the desk-scale cap {SDP_N_CAP}")

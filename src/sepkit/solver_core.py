@@ -29,14 +29,7 @@ MAX_EVALS = 50000  # function evaluations per minimize_linear_zform call
 
 
 class NonconvergedError(RuntimeError):
-    """Solver hit its iteration budget without a feasible point.
-
-    Carries the best iterate seen so far in `best_z`.
-    """
-
-    def __init__(self, message, best_z=None):
-        super().__init__(message)
-        self.best_z = best_z
+    """Solver hit its iteration budget without a feasible point."""
 
 
 @dataclass
@@ -53,7 +46,7 @@ def symmetrize(a):
     return (a + a.T) / 2.0
 
 
-def factor_correlation(x, jitter, rng):
+def factor_correlation(x, rng):
     """Unit-row factor V of a correlation-ish matrix, jittered to full width.
 
     The jitter matters: a rank-deficient factor (e.g. a +/-1 cut matrix) has
@@ -64,8 +57,7 @@ def factor_correlation(x, jitter, rng):
     w, q = np.linalg.eigh(symmetrize(x))
     w = np.maximum(w, 0.0)
     v = q * np.sqrt(w)[None, :]
-    if jitter > 0.0:
-        v = v + jitter * rng.standard_normal((n, n)) / np.sqrt(n)
+    v = v + JITTER * rng.standard_normal((n, n)) / np.sqrt(n)
     return normalize_rows(v)
 
 
@@ -171,7 +163,7 @@ def triangle_flat_indices(tri, n):
 _BLOCK_SIGNS = np.array([[0.5], [-0.5], [-0.5]])
 
 
-def _triangle_terms(z, flat, p, floor):
+def _triangle_terms(z, flat, p):
     """Constraint values h_t of the active triples and, as a 3 x T block, the
     z-derivatives of w at their (i, k), (i, j) and (j, k) pairs."""
     half = p / 2.0
@@ -180,10 +172,10 @@ def _triangle_terms(z, flat, p, floor):
         return g[0] - g[1] - g[2], 1.0
     w = np.maximum(g, 0.0) ** half
     h = w[0] - w[1] - w[2]
-    return h, half * np.maximum(g, floor) ** (half - 1.0)
+    return h, half * np.maximum(g, Z_FLOOR) ** (half - 1.0)
 
 
-def _al_eval(v, c_mat, rhs, p, mu, rho, flat, nu, floor):
+def _al_eval(v, c_mat, rhs, p, mu, rho, flat, nu):
     """Augmented-Lagrangian value and V-gradient at factor v; flat holds the
     active triples as `triangle_flat_indices` gives them."""
     n = v.shape[0]
@@ -197,7 +189,7 @@ def _al_eval(v, c_mat, rhs, p, mu, rho, flat, nu, floor):
     if act_s != 0.0:
         m = m + (-act_s) * 0.5 * _off_diagonal(n)
     if len(flat):
-        h, d = _triangle_terms(z, flat, p, floor)
+        h, d = _triangle_terms(z, flat, p)
         coef = np.maximum(0.0, nu + rho * h)
         val += float(np.sum(coef * coef - nu * nu)) / (2.0 * rho)
         if np.any(coef != 0.0):
@@ -215,7 +207,7 @@ def _riemannian(grad, v):
     return grad - inner * v
 
 
-def _al_round(v, c_mat, rhs, p, mu, rho, flat, nu, floor, max_evals):
+def _al_round(v, c_mat, rhs, p, mu, rho, flat, nu, max_evals):
     """One inner minimization of the augmented Lagrangian.
 
     The unit-row constraint is folded into the objective by normalizing rows
@@ -229,7 +221,7 @@ def _al_round(v, c_mat, rhs, p, mu, rho, flat, nu, floor, max_evals):
         norms = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
         norms[norms == 0.0] = 1.0
         u = w / norms
-        val, grad_u = _al_eval(u, c_mat, rhs, p, mu, rho, flat, nu, floor)
+        val, grad_u = _al_eval(u, c_mat, rhs, p, mu, rho, flat, nu)
         grad_w = _riemannian(grad_u, u) / norms
         return val, grad_w.ravel()
 
@@ -281,7 +273,7 @@ def minimize_linear_zform(
     # which are critical points of any linear objective on the sphere manifold;
     # blending toward the orthonormal pattern breaks the saddle.
     z_start = 0.7 * z0 + 0.3 * _off_diagonal(n)
-    v = factor_correlation(1.0 - z_start, JITTER, rng)
+    v = factor_correlation(1.0 - z_start, rng)
     mu = 0.0
     # active triples, kept across rounds: their flat indices into Z (see
     # triangle_flat_indices), one multiplier each, and the set of triples
@@ -299,9 +291,7 @@ def minimize_linear_zform(
     while used < MAX_EVALS and rounds < max_rounds:
         rounds += 1
         budget = min(INNER_STEPS, MAX_EVALS - used)
-        v, took, pgd_conv = _al_round(
-            v, c_unit, rhs, p, mu, rho, flat, nu, Z_FLOOR, budget
-        )
+        v, took, pgd_conv = _al_round(v, c_unit, rhs, p, mu, rho, flat, nu, budget)
         used += max(took, 1)
         z = z_of_factor(v)
         slack = spread_sum(z) - rhs
@@ -328,7 +318,7 @@ def minimize_linear_zform(
         # multiplier updates
         mu = max(0.0, mu - rho * slack)
         if len(flat):
-            h, _ = _triangle_terms(z, flat, p, Z_FLOOR)
+            h, _ = _triangle_terms(z, flat, p)
             nu = np.maximum(0.0, nu + rho * h)
         # activate worst new triangles
         fresh = []
@@ -355,10 +345,7 @@ def minimize_linear_zform(
         prev_infeas = max(infeas, 1e-300)
 
     if best is None:
-        raise NonconvergedError(
-            f"no feasible iterate within tol={tol} after {used} steps",
-            best_z=z_of_factor(v),
-        )
+        raise NonconvergedError(f"no feasible iterate within tol={tol} after {used} steps")
     val, z = best
     return CoreResult(
         z=z,

@@ -51,22 +51,22 @@ class SuiteResult:
         self.lines.append(("PASS " if ok else "FAIL ") + text)
 
 
-def random_feasible_z(g: Graph, c: float, p: float, rng) -> np.ndarray:
-    """A feasible Z for exponent p: a random convex combination of balanced
-    cut matrices (always feasible, for every p), occasionally blended toward
-    the orthonormal pattern when that keeps the spread bound."""
-    cuts = [m for m, _ in brute_force_cut_values(g, c)]
+def random_feasible_z(cut_mats, c: float, rng) -> np.ndarray:
+    """A feasible Z at every exponent: a random convex combination of the
+    balanced cut matrices cut_mats, occasionally blended toward the
+    orthonormal pattern when that keeps the spread bound."""
+    n = cut_mats[0].shape[0]
     k = int(rng.integers(2, 5))
-    picks = rng.choice(len(cuts), size=min(k, len(cuts)), replace=False)
+    picks = rng.choice(len(cut_mats), size=min(k, len(cut_mats)), replace=False)
     weights = rng.random(len(picks))
     weights /= weights.sum()
-    z = np.zeros((g.n, g.n))
+    z = np.zeros((n, n))
     for w, idx in zip(weights, picks):
-        z += w * cut_z_matrix(g, set(cuts[idx]))
-    eye_blend = 1.0 - np.eye(g.n)
+        z += w * cut_mats[idx]
+    eye_blend = 1.0 - np.eye(n)
     lam = float(rng.uniform(0.0, 0.4))
     blended = (1.0 - lam) * z + lam * eye_blend
-    if core.spread_sum(blended) >= zform_spread_requirement(g.n, c):
+    if core.spread_sum(blended) >= zform_spread_requirement(n, c):
         z = blended
     return z
 
@@ -86,12 +86,13 @@ def suite_concavity(seed: int = 0) -> SuiteResult:
     res = SuiteResult("concavity", True)
     g = cycle_graph(8)
     g = Graph(8, g.edges + ((0, 4), (1, 5), (2, 6)))
+    cut_mats = [cut_z_matrix(g, set(m)) for m, _ in brute_force_cut_values(g, 0.25)]
     rng = np.random.default_rng(seed)
     for p in (0.5, 1.0, 1.5):
         worst = np.inf
         for _ in range(SEGMENT_SAMPLES):
-            z1 = random_feasible_z(g, 0.25, p, rng)
-            z2 = random_feasible_z(g, 0.25, p, rng)
+            z1 = random_feasible_z(cut_mats, 0.25, rng)
+            z2 = random_feasible_z(cut_mats, 0.25, rng)
             lam = float(rng.random())
             mix = lam * z1 + (1.0 - lam) * z2
             lhs = objective_z(g, ZForm(mix), p)
@@ -108,6 +109,7 @@ def suite_convexity(seed: int = 0) -> SuiteResult:
     (sum of PSD matrices) and the power-triangle region separately."""
     res = SuiteResult("convexity", True)
     g = cycle_graph(8)
+    cut_mats = [cut_z_matrix(g, set(m)) for m, _ in brute_force_cut_values(g, 0.25)]
     rng = np.random.default_rng(seed)
     for p in (0.5, 1.0, 1.5):
         params = RelaxationParams(p, 0.25)
@@ -115,8 +117,8 @@ def suite_convexity(seed: int = 0) -> SuiteResult:
         worst_spread = worst_eig = np.inf
         worst_tri = 0.0
         for _ in range(SEGMENT_SAMPLES):
-            z1 = random_feasible_z(g, 0.25, p, rng)
-            z2 = random_feasible_z(g, 0.25, p, rng)
+            z1 = random_feasible_z(cut_mats, 0.25, rng)
+            z2 = random_feasible_z(cut_mats, 0.25, rng)
             lam = float(rng.random())
             mix = lam * z1 + (1.0 - lam) * z2
             # spread and triangles judged at SLACK in Z units, PSD at -SLACK

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from sepkit.cli import main
+from sepkit.corpus import cycle_graph, petersen_graph
+from sepkit.embeddings import cut_to_embedding
+from sepkit.graphs import Cut, dump_graph
 from sepkit.records import strip_timestamp
 
 C4_TEXT = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -116,8 +119,11 @@ def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
         ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--retries", "0"],
         ["solve", "--graph", "C4", "--p", "2", "--c", "0.25", "--starts", "0"],
         ["gaussian-test", "--d", "0", "--x", "0.1"],
+        # a solve would replace the value, so it cannot come without --embedding
+        ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--relaxation-value", "99"],
     ],
-    ids=["pipeline-retries-3", "pipeline-retries0", "solve-p2-starts0", "gaussian-d0"],
+    ids=["pipeline-retries-3", "pipeline-retries0", "solve-p2-starts0", "gaussian-d0",
+         "pipeline-value-without-embedding"],
 )
 def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
     code = main([str(c4_file) if a == "C4" else a for a in argv])
@@ -239,6 +245,23 @@ def test_pipeline_embedding_passthrough(c4_file, tmp_path, capsys):
     )
     assert code == 0
     assert record["results"]["relaxation_value"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "graph, other", [(petersen_graph(), cycle_graph(4)), (cycle_graph(4), petersen_graph())],
+    ids=["petersen-with-c4-embedding", "c4-with-petersen-embedding"],
+)
+def test_pipeline_rejects_embedding_of_another_size(tmp_path, capsys, graph, other):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text(dump_graph(graph))
+    emb = tmp_path / "emb.json"
+    emb.write_text(cut_to_embedding(other, Cut({0, 1})).to_json())
+    code = main(["pipeline", "--graph", str(graph_file), "--p", "2", "--c", "0.25",
+                 "--embedding", str(emb)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_convert_dimacs(tmp_path, capsys):

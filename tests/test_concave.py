@@ -6,7 +6,6 @@ from sepkit import solver_core as core
 from sepkit.concave import (
     ConcaveOptions,
     check_concavity,
-    feasible_point_from_cut,
     grid_oracle_n3,
     hessian_f,
     hessian_quadratic_form,
@@ -20,12 +19,11 @@ from sepkit.graphs import (
     BRUTE_FORCE_CAP,
     Cut,
     Graph,
-    InfeasibleBalanceError,
     brute_force_cut_values,
     exact_balanced_separator,
     is_c_balanced,
 )
-from sepkit.sdp import solve_sdp
+from sepkit.sdp import cut_z_matrix, solve_sdp
 
 C = 0.25
 P_INNER = (0.5, 1.0, 1.5)
@@ -85,22 +83,6 @@ def test_check_concavity_passes_for_valid_q():
 def test_check_concavity_rejects_small_q():
     with pytest.raises(ValueError):
         check_concavity(0.5)
-
-
-def test_feasible_point_from_cut():
-    g = cycle_graph(4)
-    z = feasible_point_from_cut(g, Cut({0, 1}), C)
-    assert z.matrix[0, 1] == 0.0
-    assert z.matrix[0, 2] == 2.0
-    for p in (0.25, 0.5, 1.0, 1.5, 1.9):
-        assert objective_z(g, z, p) == pytest.approx(2.0, abs=1e-12)
-    g2 = Graph(2, ((0, 1),))
-    z2 = feasible_point_from_cut(g2, Cut({0}))
-    assert z2.matrix.tolist() == [[0.0, 2.0], [2.0, 0.0]]
-    with pytest.raises(InfeasibleBalanceError):
-        feasible_point_from_cut(g, Cut(set()))
-    with pytest.raises(InfeasibleBalanceError):
-        feasible_point_from_cut(g, Cut({0}), C)  # size 1 not 1/4-balanced on n=4
 
 
 def test_linear_subproblem_two_vertex_hand_cases():
@@ -201,12 +183,15 @@ def test_solve_concave_never_above_any_start_value():
 def test_objective_concavity_along_segments():
     g = cycle_graph(6)
     rng = np.random.default_rng(3)
-    cuts = [m for m, _ in brute_force_cut_values(g, C)]
+    cuts = brute_force_cut_values(g, C)
+    zs = [cut_z_matrix(g, m) for m, _ in cuts]
     for p in P_INNER:
+        # a cut matrix's objective is its cut value at every exponent
+        for z, (_, value) in zip(zs, cuts):
+            assert objective_z(g, ZForm(z), p) == pytest.approx(value, abs=1e-12)
         for _ in range(200):
             picks = rng.choice(len(cuts), size=2, replace=False)
-            z1 = feasible_point_from_cut(g, Cut(cuts[picks[0]])).matrix
-            z2 = feasible_point_from_cut(g, Cut(cuts[picks[1]])).matrix
+            z1, z2 = zs[picks[0]], zs[picks[1]]
             lam = rng.random()
             mix = lam * z1 + (1 - lam) * z2
             lhs = objective_z(g, ZForm(mix), p)

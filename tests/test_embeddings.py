@@ -22,7 +22,6 @@ from sepkit.embeddings import (
     gram_from_z,
     objective,
     objective_z,
-    spread,
     z_from_gram,
 )
 from sepkit.graphs import Cut, Graph, brute_force_cut_values
@@ -72,13 +71,6 @@ def test_objective_single_edge_cases():
     same = Embedding(np.array([[1.0], [1.0]]))
     for p in P_GRID:
         assert objective(g, same, p) == 0.0
-
-
-def test_spread_examples():
-    g = cycle_graph(4)
-    assert spread(cut_to_embedding(g, Cut({0, 1}))) == pytest.approx(16.0)
-    assert spread(Embedding(np.ones((5, 1)))) == 0.0
-    assert spread(Embedding(np.array([[1.0], [-1.0]]))) == pytest.approx(4.0)
 
 
 def test_balanced_cut_embedding_is_feasible():
@@ -308,11 +300,3 @@ def test_serialization_roundtrips():
     assert np.array_equal(e.vectors, e2.vectors)
     x = gram_from_embedding(e)
     assert json.loads(x.to_json()) == {"n": 4, "matrix": x.matrix.tolist()}
-
-
-@settings(max_examples=50, deadline=None)
-@given(n=st.integers(1, 40), d=st.integers(1, 6), seed=st.integers(0, 10**6))
-def test_spread_is_the_strict_upper_triangle_sum(n, d, seed):
-    e = Embedding(random_unit_vectors(n, d, seed))
-    dist = e.distance_matrix()
-    assert spread(e) == float(np.sum(np.triu(dist * dist, k=1)))

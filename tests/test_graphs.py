@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -11,13 +10,11 @@ from sepkit.graphs import (
     Graph,
     GraphParseError,
     InfeasibleBalanceError,
-    UndefinedSparsityError,
     balanced_size_range,
     cut_size,
     exact_balanced_separator,
     is_c_balanced,
     load_graph,
-    sparsity,
     subset_cut_table,
 )
 from sepkit.corpus import complete_graph, cycle_graph, gnp_graph, path_graph
@@ -86,36 +83,7 @@ def test_cut_size_symmetric_under_complement(gn, data):
     g = Graph(n, tuple(edges))
     members = data.draw(st.sets(st.integers(0, n - 1)))
     s = Cut(members)
-    assert cut_size(g, s) == cut_size(g, s.complement(n))
-
-
-def test_sparsity_examples():
-    star = Graph(4, ((0, 1), (0, 2), (0, 3)))
-    assert sparsity(star, Cut({1})) == 1
-    c4 = cycle_graph(4)
-    assert sparsity(c4, Cut({0, 1})) == 1
-    assert sparsity(c4, Cut({0})) == 2
-
-
-def test_sparsity_undefined_for_degenerate_sets():
-    g = cycle_graph(4)
-    with pytest.raises(UndefinedSparsityError):
-        sparsity(g, Cut(set()))
-    with pytest.raises(UndefinedSparsityError):
-        sparsity(g, Cut({0, 1, 2, 3}))
-
-
-@given(graphs, st.data())
-@settings(max_examples=200, deadline=None)
-def test_sparsity_times_size_is_cut_size(gn, data):
-    n, edges = gn
-    g = Graph(n, tuple(edges))
-    members = data.draw(
-        st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)
-    )
-    s = Cut(members)
-    assert sparsity(g, s) * len(members) == cut_size(g, s)
-    assert isinstance(sparsity(g, s), Fraction)
+    assert cut_size(g, s) == cut_size(g, Cut(set(range(n)) - members))
 
 
 def test_balance_boundaries_strict():

@@ -13,7 +13,7 @@ def test_factor_correlation_unit_rows_full_width():
     rng = np.random.default_rng(1)
     s = np.array([1.0, 1.0, -1.0, -1.0])
     x = np.outer(s, s)  # rank one
-    v = core.factor_correlation(x, jitter=1e-4, rng=rng)
+    v = core.factor_correlation(x, rng=rng)
     assert np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
     assert v.shape == (4, 4)
     assert np.linalg.matrix_rank(v, tol=1e-8) == 4  # jitter restores width
@@ -67,12 +67,10 @@ def test_round_cap_marks_result_unconverged():
 def test_nonconverged_error_carries_best_iterate():
     # spread demand above the geometric maximum sum of z entries
     c_mat = np.zeros((3, 3))
-    with pytest.raises(core.NonconvergedError) as exc:
+    with pytest.raises(core.NonconvergedError, match="no feasible iterate"):
         core.minimize_linear_zform(
             c_mat, 2.0, rhs=50.0, z0=np.zeros((3, 3)), max_rounds=5
         )
-    assert exc.value.best_z is not None
-    assert exc.value.best_z.shape == (3, 3)
 
 
 def test_power_matrix_clips_negative_dust():
@@ -115,13 +113,13 @@ def test_al_eval_gradient_matches_finite_differences(p):
     rhs = 40.0  # above any spread of 7 unit vectors, so the spread term acts
     z = core.z_of_factor(v)
     assert mu - rho * (core.spread_sum(z) - rhs) > 0.0
-    h, _ = core._triangle_terms(z, flat, p, core.Z_FLOOR)
+    h, _ = core._triangle_terms(z, flat, p)
     assert np.all(nu + rho * h > 0.0)  # every triangle term acts
 
     def value(w):
-        return core._al_eval(w, c_mat, rhs, p, mu, rho, flat, nu, core.Z_FLOOR)[0]
+        return core._al_eval(w, c_mat, rhs, p, mu, rho, flat, nu)[0]
 
-    val, grad = core._al_eval(v, c_mat, rhs, p, mu, rho, flat, nu, core.Z_FLOOR)
+    val, grad = core._al_eval(v, c_mat, rhs, p, mu, rho, flat, nu)
     reference = al_value_reference(z, c_mat, rhs, p, mu, rho, tri, nu)
     assert val == pytest.approx(reference, rel=1e-12)
     eps = 1e-6

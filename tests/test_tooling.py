@@ -2,12 +2,15 @@
 patches some by name for its span tracer; these tests catch a rename,
 deletion or signature change of any of them before a bench run does.
 bench/run.py is parsed, not imported: importing it pins thread variables
-and edits sys.path."""
+and edits sys.path.  README's command lines are held to the CLI and the
+scripts directory the same way."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ from sepkit import cli, concave, sdp  # cli imports every traced module
 from sepkit.corpus import cycle_graph
 from sepkit.embeddings import GramForm, embedding_from_gram
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 SPANS_PATH = BENCH / "spans.py"
 RUN_PATH = BENCH / "run.py"
 
@@ -104,3 +108,26 @@ def test_bench_pipeline_argv_parses():
     assert args.func is cli.cmd_pipeline
     for flag in (a for a in argv if a.startswith("--")):
         assert getattr(args, flag.lstrip("-").replace("-", "_")) is not None, flag
+
+
+def readme_code_lines():
+    """Lines inside README's fenced code blocks."""
+    lines, inside = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            inside = not inside
+        elif inside:
+            lines.append(line.strip())
+    return lines
+
+
+def test_readme_commands_parse_and_scripts_exist():
+    lines = readme_code_lines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("sepkit ")]
+    assert commands
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
+    scripts = [m for line in lines for m in re.findall(r"python3? (scripts/\S+\.py)", line)]
+    assert scripts
+    for script in scripts:
+        assert (ROOT / script).is_file(), script
