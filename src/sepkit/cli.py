@@ -128,8 +128,6 @@ def _run_single_pipeline(g, name, args):
 
 
 def cmd_pipeline(args):
-    if not (0.0 < args.p <= 2.0):
-        raise ValueError(f"p must lie in (0, 2], got {args.p}")
     if args.batch:
         paths = sorted(Path(args.batch).glob("*.txt"))
         if not paths:

@@ -29,6 +29,7 @@ from .embeddings import (
     check_feasibility_z,
     gram_from_z,
     objective_z,
+    z_from_gram,
     zform_spread_requirement,
 )
 from .graphs import (
@@ -38,6 +39,7 @@ from .graphs import (
     balanced_size_range,
     brute_force_cut_values,
     exact_balanced_separator,
+    require_balanced_sizes,
 )
 from .sdp import SolveReport, cut_z_matrix, solve_sdp
 
@@ -167,13 +169,14 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
     seeded sample of others, complements deduplicated), and the Z of the
     p = 2 solution as the last start.  The reported value never exceeds the
     value at any start; ties across starts resolve to the earliest one.
+    Invalid (p, c) or balance raises before any work, as in `solve_sdp`.
     """
-    if not (0.0 < p < 2.0):
-        raise ValueError(f"solve_concave needs 0 < p < 2, got {p}")
+    require_balanced_sizes(g.n, c)
+    params = RelaxationParams(p, c)
+    if not p < 2.0:
+        raise ValueError(f"solve_concave needs p < 2, got {p}")
     if g.n > CONCAVE_N_CAP:
         raise ValueError(f"n={g.n} beyond the desk-scale cap {CONCAVE_N_CAP}")
-    if len(balanced_size_range(g.n, c)) == 0:
-        raise InfeasibleBalanceError(f"no c-balanced subset size for c={c}, n={g.n}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(opts.seed)
     starts = []
@@ -181,29 +184,25 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
         starts.append(cut_z_matrix(g, members))
     if opts.starts >= 2:
         x_sdp, _ = solve_sdp(g, c, seed=opts.seed)
-        z_sdp = 1.0 - x_sdp.matrix
-        np.fill_diagonal(z_sdp, 0.0)
-        starts.append(z_sdp)
+        starts.append(z_from_gram(x_sdp).matrix)
 
     best = None
     total_iter = 0
     certified = converged = False
-    for idx, z0 in enumerate(starts):
+    for z0 in starts:
         f0 = objective_z(g, ZForm(z0), p)
         z, f, iters, cert, conv = _descend(g, c, p, z0, f0, opts.seed)
         total_iter += iters
         if best is None or f < best[0] - 1e-15:
-            best = (f, z, idx)
+            best = (f, z)
             certified, converged = cert, conv
     if not certified:
         raise core.NonconvergedError(f"no linearization fixed point within MAX_OUTER={MAX_OUTER}")
-    value, z, _ = best
+    value, z = best
     zform = ZForm(z)
     report = SolveReport(
         value=value,
-        residuals=check_feasibility_z(
-            zform.matrix, RelaxationParams(p, c), TIGHT_TOL, TIGHT_TOL
-        ),
+        residuals=check_feasibility_z(zform.matrix, params, TIGHT_TOL, TIGHT_TOL),
         iterations=total_iter,
         wall_time=time.perf_counter() - t0,
         converged=converged,
@@ -217,12 +216,11 @@ def solve_relaxation(
     """Solve the exponent-p program for any 0 < p <= 2; returns (GramForm,
     SolveReport).
 
-    p = 2 runs `solve_sdp`; p < 2 runs `solve_concave` with `starts` and
-    converts its Z to the Gram matrix, so every exponent hands back the same
-    kind of matrix.  Rejects p outside (0, 2] and starts < 1 at every p.
+    p = 2 runs `solve_sdp`; every other p runs `solve_concave` with `starts`
+    and converts its Z to the Gram matrix, so every exponent hands back the
+    same kind of matrix.  Rejects starts < 1 at every p; the solver it
+    dispatches to checks (p, c) and balance before any work.
     """
-    if not (0.0 < p <= 2.0):
-        raise ValueError(f"p must lie in (0, 2], got {p}")
     opts = ConcaveOptions(starts=starts, seed=seed)  # validates starts
     if p == 2.0:
         return solve_sdp(g, c, seed=seed)

@@ -171,6 +171,16 @@ def balanced_size_range(n: int, c) -> range:
     return range(lo, hi + 1)
 
 
+def require_balanced_sizes(n: int, c) -> range:
+    """`balanced_size_range(n, c)`, raising InfeasibleBalanceError when it is
+    empty; every solver and the rounding pipeline check an instance with it
+    before any work."""
+    sizes = balanced_size_range(n, c)
+    if len(sizes) == 0:
+        raise InfeasibleBalanceError(f"no size s with cn < s < (1-c)n for c={c}, n={n}")
+    return sizes
+
+
 def is_c_balanced(g: Graph, s: Cut, c) -> bool:
     """Strict balance test cn < |S| < (1-c)n, exact for rational c."""
     s.validate(g)
@@ -233,10 +243,7 @@ def exact_balanced_separator(g: Graph, c, cap: int = BRUTE_FORCE_CAP):
             f"n={g.n} exceeds brute-force cap {min(cap, 31)}; raise cap only if "
             f"you can afford 2^{g.n} subsets"
         )
-    sizes = balanced_size_range(g.n, c)
-    if len(sizes) == 0:
-        raise InfeasibleBalanceError(f"no subset size satisfies {c}*{g.n} < |S| < {1 - Fraction(c)}*{g.n}")
-
+    sizes = require_balanced_sizes(g.n, c)
     set_sizes, values = subset_cut_table(g)
     keep = (set_sizes >= sizes.start) & (set_sizes < sizes.stop)
     best = int(values[keep].min())

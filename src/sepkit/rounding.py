@@ -13,15 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concave import STARTS, solve_relaxation
-from .embeddings import Embedding, embedding_from_gram, objective
+from .embeddings import Embedding, RelaxationParams, embedding_from_gram, objective
 from .graphs import (
     BRUTE_FORCE_CAP,
     Cut,
     Graph,
-    InfeasibleBalanceError,
-    balanced_size_range,
     cut_size,
     exact_balanced_separator,
+    require_balanced_sizes,
 )
 
 
@@ -63,8 +62,6 @@ def delta_target(n: int, p: float) -> float:
     """Separation target (ln n)^(-(1 + p/2)/3)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if p <= 0:
-        raise ValueError("p must be positive")
     return math.log(n) ** (-(1.0 + p / 2.0) / 3.0)
 
 
@@ -79,13 +76,14 @@ def random_unit_vector(d: int, rng) -> np.ndarray:
 
 def modified_set_find(
     e: Embedding,
-    p: float,
+    dist: np.ndarray,
     params: RoundingParams,
     rng,
     direction=None,
 ) -> SetFindResult:
     """One projection round: median split with sigma/(2 sqrt(d)) margins, then
-    greedy pairwise deletion of cross pairs at ||.||^p distance <= delta.
+    greedy pairwise deletion of cross pairs at distance dist[i, j] <= delta,
+    where dist holds ||v_i - v_j||^p (`pipeline` builds it once per run).
 
     `direction` forces the projection direction (used by the deterministic
     fixtures); otherwise a uniform random unit vector is drawn from rng.
@@ -108,7 +106,6 @@ def modified_set_find(
             halted=True,
             deleted_pairs=(),
         )
-    dist = e.distance_matrix() ** p
     alive_s = dict.fromkeys(s_prime, True)
     alive_t = dict.fromkeys(t_prime, True)
     deleted = []
@@ -146,10 +143,10 @@ def check_separated(e: Embedding, s_side, t_side, p: float, delta: float):
     return bool(block[k] >= delta), worst
 
 
-def produce_cut(g: Graph, e: Embedding, p: float, sep: SeparatedSets, delta: float, rng) -> Cut:
-    """Threshold cut: weight each edge ||v_i - v_j||^p and take V_r, the
-    vertices within shortest-path distance r of the S side, for r uniform
-    in [0, delta).
+def produce_cut(g: Graph, dist: np.ndarray, sep: SeparatedSets, delta: float, rng) -> Cut:
+    """Threshold cut: weight each edge ij with dist[i, j] = ||v_i - v_j||^p and
+    take V_r, the vertices within shortest-path distance r of the S side, for
+    r uniform in [0, delta).
 
     Weights are unnormalized so that the power-triangle inequality makes every
     S-to-T path at least delta long; unreachable vertices count as infinitely
@@ -157,28 +154,27 @@ def produce_cut(g: Graph, e: Embedding, p: float, sep: SeparatedSets, delta: flo
     """
     if not sep.s_side or not sep.t_side:
         raise ValueError("both sides of the separation must be nonempty")
-    dist_m = e.distance_matrix() ** p
     adjacency = [[] for _ in range(g.n)]
     for i, j in g.edges:
-        w = float(dist_m[i, j])
+        w = float(dist[i, j])
         adjacency[i].append((j, w))
         adjacency[j].append((i, w))
-    dist = [math.inf] * g.n
+    length = [math.inf] * g.n
     heap = []
     for s in sep.s_side:
-        dist[s] = 0.0
+        length[s] = 0.0
         heapq.heappush(heap, (0.0, s))
     while heap:
         d0, v = heapq.heappop(heap)
-        if d0 > dist[v]:
+        if d0 > length[v]:
             continue
         for w, wt in adjacency[v]:
             nd = d0 + wt
-            if nd < dist[w]:
-                dist[w] = nd
+            if nd < length[w]:
+                length[w] = nd
                 heapq.heappush(heap, (nd, w))
     r = float(rng.uniform(0.0, delta))
-    members = {v for v in range(g.n) if dist[v] <= r}
+    members = {v for v in range(g.n) if length[v] <= r}
     if not set(sep.s_side) <= members:
         raise RoundingError("S side escaped the threshold region")
     if members & set(sep.t_side):
@@ -241,14 +237,15 @@ def pipeline(
     stored solver artifact into the rounding stage.  It must have one vector
     per vertex of g.  The relaxation value then defaults to the embedding's
     own objective at exponent p; a value without an embedding is rejected,
-    since the solve would replace it.
+    since the solve would replace it.  Balance, then (p, c), are checked
+    before any work, as the solvers check them.
     """
+    require_balanced_sizes(g.n, c)
+    RelaxationParams(p, c)
     if embedding is None and relaxation_value is not None:
         raise ValueError("a relaxation value needs the embedding it was solved for")
     if embedding is not None and embedding.n != g.n:
         raise ValueError(f"embedding has {embedding.n} vectors, graph has {g.n} vertices")
-    if len(balanced_size_range(g.n, c)) == 0:
-        raise InfeasibleBalanceError(f"no c-balanced subset size for c={c}, n={g.n}")
     params = RoundingParams(
         delta=opts.delta if opts.delta is not None else delta_target(g.n, p),
         c_prime=c / 4.0,
@@ -265,12 +262,13 @@ def pipeline(
     if g.n <= BRUTE_FORCE_CAP:
         _, exact = exact_balanced_separator(g, c)
 
+    dist = embedding.distance_matrix() ** p
     cut, attempts = None, opts.retries
     for attempt in range(opts.retries):
         rng = attempt_rng(opts.seed, attempt)
-        found = modified_set_find(embedding, p, params, rng)
+        found = modified_set_find(embedding, dist, params, rng)
         if found.success:
-            cut = produce_cut(g, embedding, p, found.sets, params.delta, rng)
+            cut = produce_cut(g, dist, found.sets, params.delta, rng)
             attempts = attempt + 1
             break
 

@@ -23,13 +23,7 @@ from .embeddings import (
     zform_spread_requirement,
     ZForm,
 )
-from .graphs import (
-    BRUTE_FORCE_CAP,
-    Graph,
-    InfeasibleBalanceError,
-    balanced_size_range,
-    exact_balanced_separator,
-)
+from .graphs import BRUTE_FORCE_CAP, Graph, exact_balanced_separator, require_balanced_sizes
 
 SDP_N_CAP = 64
 # core tolerance in Z units: z-space residuals are half the squared-distance
@@ -76,14 +70,15 @@ def warm_start_z(g: Graph, c: float) -> np.ndarray:
 def solve_sdp(g: Graph, c: float, *, seed: int = 0):
     """Solve the p = 2 program; returns (GramForm, SolveReport).
 
-    Raises InfeasibleBalanceError when no balanced subset size exists and
-    NonconvergedError when no feasible point was found within the iteration
-    budget.
+    Raises InfeasibleBalanceError when no balanced subset size exists,
+    ValueError for c outside (0, 1/2] or n above SDP_N_CAP, both before any
+    work, and NonconvergedError when no feasible point was found within the
+    iteration budget.
     """
+    require_balanced_sizes(g.n, c)
+    params = RelaxationParams(2.0, c)
     if g.n > SDP_N_CAP:
         raise ValueError(f"n={g.n} beyond the desk-scale cap {SDP_N_CAP}")
-    if len(balanced_size_range(g.n, c)) == 0:
-        raise InfeasibleBalanceError(f"no c-balanced subset size for c={c}, n={g.n}")
     t0 = time.perf_counter()
     result = core.minimize_linear_zform(
         objective_matrix(g),
@@ -95,7 +90,7 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
     )
     report = SolveReport(
         value=result.value,
-        residuals=check_feasibility_z(result.z, RelaxationParams(2.0, c), Z_TOL, Z_TOL),
+        residuals=check_feasibility_z(result.z, params, Z_TOL, Z_TOL),
         iterations=result.iterations,
         wall_time=time.perf_counter() - t0,
         converged=result.converged,

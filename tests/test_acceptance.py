@@ -171,7 +171,8 @@ def test_criterion_6_rounding_correctness(pipeline_runs):
         assert k >= c_prime * g.n and g.n - k >= c_prime * g.n, (name, p, seed)
         # replay the successful attempt to recover the separated sets
         params = RoundingParams(delta=rep.delta, sigma=1.0, c_prime=c_prime)
-        found = modified_set_find(emb, p, params, attempt_rng(seed, rep.attempts - 1))
+        dist = emb.distance_matrix() ** p
+        found = modified_set_find(emb, dist, params, attempt_rng(seed, rep.attempts - 1))
         assert found.success, (name, p, seed)
         ok, worst = check_separated(
             emb, found.sets.s_side, found.sets.t_side, p, rep.delta
@@ -237,10 +238,11 @@ def test_criterion_7_cross_solver_oracle_n3():
 
 def test_criterion_8_set_find_fixtures():
     antipodal = Embedding(np.array([[1.0]] * 4 + [[-1.0]] * 4))
+    dist = antipodal.distance_matrix()  # the ||v_i - v_j||^p table at p = 1
     params = RoundingParams(delta=1.0, sigma=0.5, c_prime=1 / 8)
     rng = np.random.default_rng(0)
 
-    res = modified_set_find(antipodal, 1.0, params, rng, direction=[1.0])
+    res = modified_set_find(antipodal, dist, params, rng, direction=[1.0])
     fixture1 = (
         res.success
         and res.sets.s_side == (0, 1, 2, 3)
@@ -249,11 +251,11 @@ def test_criterion_8_set_find_fixtures():
     )
 
     identical = Embedding(np.ones((8, 1)))
-    res = modified_set_find(identical, 1.0, params, rng, direction=[1.0])
+    res = modified_set_find(identical, identical.distance_matrix(), params, rng, direction=[1.0])
     fixture2 = (not res.success) and res.halted
 
     big_delta = RoundingParams(delta=2.0 + 0.1, sigma=0.5, c_prime=1 / 8)
-    res = modified_set_find(antipodal, 1.0, big_delta, rng, direction=[1.0])
+    res = modified_set_find(antipodal, dist, big_delta, rng, direction=[1.0])
     fixture3 = (
         (not res.success)
         and (not res.halted)

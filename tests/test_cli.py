@@ -133,6 +133,23 @@ def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "p, c, message",
+    [("2", "0", "c must lie in (0, 1/2], got 0.0"),
+     ("2", "-0.25", "c must lie in (0, 1/2], got -0.25"),
+     ("2.5", "0.25", "p must lie in (0, 2], got 2.5"),
+     ("2", "0.6", "no size s with cn < s < (1-c)n for c=0.6, n=4")],
+    ids=["c0", "c-0.25", "p2.5", "c0.6-infeasible"],
+)
+def test_pipeline_bad_instance_names_the_input(c4_file, capsys, p, c, message):
+    # the error names what the caller set (c, not the derived c_prime)
+    code = main(["pipeline", "--graph", str(c4_file), "--p", p, "--c", c])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_pipeline_rounding_flags_are_delta_and_sigma(c4_file, capsys):
     # c' is always c/4 and delta_target has no scale: neither is a flag
     base = ["pipeline", "--graph", str(c4_file), "--p", "2", "--c", "0.25"]

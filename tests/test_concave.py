@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepkit import concave
+from sepkit import concave, graphs, rounding, sdp
 from sepkit import solver_core as core
 from sepkit.concave import (
     ConcaveOptions,
@@ -14,15 +14,23 @@ from sepkit.concave import (
     solve_relaxation,
 )
 from sepkit.corpus import complete_graph, cycle_graph, gnp_graph, path_graph
-from sepkit.embeddings import ZForm, gram_from_z, objective_z, zform_spread_requirement
+from sepkit.embeddings import (
+    ZForm,
+    cut_to_embedding,
+    gram_from_z,
+    objective_z,
+    zform_spread_requirement,
+)
 from sepkit.graphs import (
     BRUTE_FORCE_CAP,
     Cut,
     Graph,
+    InfeasibleBalanceError,
     brute_force_cut_values,
     exact_balanced_separator,
     is_c_balanced,
 )
+from sepkit.rounding import pipeline
 from sepkit.sdp import cut_z_matrix, solve_sdp
 
 C = 0.25
@@ -142,6 +150,45 @@ def test_solve_concave_rejects_bad_exponent():
         solve_concave(g, C, 2.0)
     with pytest.raises(ValueError):
         solve_concave(g, C, 0.0)
+
+
+# every entry that takes (p, c) checks balance, then the ranges, before the
+# exact oracle or the core runs; solve_sdp has no p to check
+ENTRIES = {
+    "solve_sdp": lambda g, c, p: solve_sdp(g, c),
+    "solve_concave": lambda g, c, p: solve_concave(g, c, p, ConcaveOptions(starts=1)),
+    "solve_relaxation": lambda g, c, p: solve_relaxation(g, c, p),
+    "pipeline": lambda g, c, p: pipeline(g, c, p, embedding=cut_to_embedding(g, Cut({0, 1}))),
+}
+
+
+@pytest.fixture
+def no_solver_work(monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("solver work ran before the input check")
+
+    monkeypatch.setattr(core, "minimize_linear_zform", work)
+    for mod in (graphs, sdp, concave, rounding):
+        monkeypatch.setattr(mod, "exact_balanced_separator", work)
+
+
+BAD_INSTANCES = (
+    (0.0, 1.0, ValueError, "c must lie"),
+    (-0.25, 1.0, ValueError, "c must lie"),
+    (C, 2.5, ValueError, "p must lie"),
+    # c = 0.6 is outside (0, 1/2] too; the balance check comes first
+    (0.6, 1.0, InfeasibleBalanceError, "no size s"),
+)
+
+
+@pytest.mark.parametrize(
+    "entry, c, p, error, match",
+    [(entry, *case) for entry in sorted(ENTRIES) for case in BAD_INSTANCES
+     if entry != "solve_sdp" or case[1] == 1.0],
+)
+def test_entries_reject_bad_instances_before_work(no_solver_work, entry, c, p, error, match):
+    with pytest.raises(error, match=match):
+        ENTRIES[entry](cycle_graph(4), c, p)
 
 
 def test_solve_concave_local_minimality_certificate():

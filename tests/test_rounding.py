@@ -22,6 +22,8 @@ from sepkit.rounding import (
 
 ANTIPODAL = Embedding(np.array([[1.0]] * 4 + [[-1.0]] * 4))
 FIXTURE_PARAMS = RoundingParams(delta=1.0, sigma=0.5, c_prime=1 / 8)
+# set-find and produce_cut read ||v_i - v_j||^p; every table here is at p = 1
+ANTIPODAL_DIST = ANTIPODAL.distance_matrix()
 
 
 def test_delta_target_examples():
@@ -44,7 +46,7 @@ def test_delta_target_strictly_decreasing_in_n_and_p():
 
 def test_set_find_fixture_antipodal_success():
     res = modified_set_find(
-        ANTIPODAL, 1.0, FIXTURE_PARAMS, np.random.default_rng(0), direction=[1.0]
+        ANTIPODAL, ANTIPODAL_DIST, FIXTURE_PARAMS, np.random.default_rng(0), direction=[1.0]
     )
     assert res.success
     assert res.sets.s_side == (0, 1, 2, 3)
@@ -54,7 +56,9 @@ def test_set_find_fixture_antipodal_success():
 
 def test_set_find_fixture_identical_vectors_fail():
     e = Embedding(np.ones((8, 1)))
-    res = modified_set_find(e, 1.0, FIXTURE_PARAMS, np.random.default_rng(0), direction=[1.0])
+    res = modified_set_find(
+        e, e.distance_matrix(), FIXTURE_PARAMS, np.random.default_rng(0), direction=[1.0]
+    )
     assert not res.success
     assert res.halted
     assert res.sets.s_side == ()
@@ -62,7 +66,9 @@ def test_set_find_fixture_identical_vectors_fail():
 
 def test_set_find_fixture_overlarge_delta_deletes_everything():
     params = RoundingParams(delta=2.0 + 0.1, sigma=0.5, c_prime=1 / 8)
-    res = modified_set_find(ANTIPODAL, 1.0, params, np.random.default_rng(0), direction=[1.0])
+    res = modified_set_find(
+        ANTIPODAL, ANTIPODAL_DIST, params, np.random.default_rng(0), direction=[1.0]
+    )
     assert not res.success
     assert not res.halted
     assert res.sets.s_side == ()
@@ -89,7 +95,7 @@ def test_set_find_success_is_separated():
         v = rng_master.standard_normal((n, n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         e = Embedding(v)
-        res = modified_set_find(e, 1.0, params, np.random.default_rng(trial))
+        res = modified_set_find(e, e.distance_matrix(), params, np.random.default_rng(trial))
         if res.success:
             successes += 1
             ok, worst = check_separated(
@@ -116,7 +122,7 @@ def test_produce_cut_recovers_c4_cut():
     e = cut_to_embedding(g, Cut({0, 1}))
     sep = SeparatedSets((0, 1), (2, 3))
     for seed in range(10):
-        cut = produce_cut(g, e, 1.0, sep, 1.0, np.random.default_rng(seed))
+        cut = produce_cut(g, e.distance_matrix(), sep, 1.0, np.random.default_rng(seed))
         assert cut.sorted_members() == (0, 1)
 
 
@@ -128,7 +134,7 @@ def test_produce_cut_zero_radius_keeps_zero_distance_vertices():
         def uniform(self, lo, hi):
             return 0.0
 
-    cut = produce_cut(g, e, 1.0, SeparatedSets((0,), (2,)), 1.0, ZeroRng())
+    cut = produce_cut(g, e.distance_matrix(), SeparatedSets((0,), (2,)), 1.0, ZeroRng())
     # vertex 1 sits at distance 0 from vertex 0; the isolated vertex is
     # unreachable and stays outside
     assert cut.sorted_members() == (0, 1)
@@ -137,7 +143,8 @@ def test_produce_cut_zero_radius_keeps_zero_distance_vertices():
 def test_produce_cut_isolated_vertex_excluded():
     g = Graph(4, ((0, 1), (1, 2)))
     e = Embedding(np.array([[1.0], [1.0], [1.0], [-1.0]]))
-    cut = produce_cut(g, e, 1.0, SeparatedSets((0, 1, 2), (3,)), 0.5, np.random.default_rng(0))
+    sep = SeparatedSets((0, 1, 2), (3,))
+    cut = produce_cut(g, e.distance_matrix(), sep, 0.5, np.random.default_rng(0))
     assert cut.sorted_members() == (0, 1, 2)
 
 
@@ -145,7 +152,7 @@ def test_produce_cut_rejects_empty_side():
     g = cycle_graph(4)
     e = cut_to_embedding(g, Cut({0, 1}))
     with pytest.raises(ValueError):
-        produce_cut(g, e, 1.0, SeparatedSets((0,), ()), 1.0, np.random.default_rng(0))
+        produce_cut(g, e.distance_matrix(), SeparatedSets((0,), ()), 1.0, np.random.default_rng(0))
 
 
 def test_produce_cut_detects_bad_separation():
@@ -153,7 +160,9 @@ def test_produce_cut_detects_bad_separation():
     g = Graph(2, ((0, 1),))
     e = Embedding(np.array([[1.0], [1.0]]))
     with pytest.raises(RoundingError):
-        produce_cut(g, e, 1.0, SeparatedSets((0,), (1,)), 1.0, np.random.default_rng(0))
+        produce_cut(
+            g, e.distance_matrix(), SeparatedSets((0,), (1,)), 1.0, np.random.default_rng(0)
+        )
 
 
 def test_pipeline_c4_p2():

@@ -131,3 +131,57 @@ def test_readme_commands_parse_and_scripts_exist():
     assert scripts
     for script in scripts:
         assert (ROOT / script).is_file(), script
+
+
+# reference checks that only the tests compare against (ROADMAP item 8)
+TEST_ONLY_NAMES = {
+    "is_c_balanced", "cut_to_embedding", "check_separated", "grid_oracle_n3", "strip_timestamp",
+}
+
+
+def top_level_definitions(tree):
+    """(name, first line, last line) of each top-level def, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno, node.end_lineno
+
+
+def name_references(tree):
+    """(name, line) of every name read, attribute and name imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((a.name, node.lineno) for a in node.names)
+
+
+def test_every_package_name_has_a_caller_outside_tests():
+    trees = {path: ast.parse(path.read_text())
+             for folder in ("src", "scripts", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    refs = {path: list(name_references(tree)) for path, tree in trees.items()}
+    traced = {fn_name for _, fn_name, _ in load_spans().TRACED}
+    uncalled = set()
+    for path in sorted((ROOT / "src" / "sepkit").glob("*.py")):
+        for name, first, last in top_level_definitions(trees[path]):
+            called = name in traced or any(
+                ref == name and not (where == path and first <= line <= last)
+                for where, found in refs.items() for ref, line in found
+            )
+            if not called:
+                uncalled.add(name)
+    assert uncalled == TEST_ONLY_NAMES, sorted(uncalled ^ TEST_ONLY_NAMES)
+
+
+def test_package_root_binds_only_the_version():
+    tree = ast.parse((ROOT / "src" / "sepkit" / "__init__.py").read_text())
+    bound = [name for name, _, _ in top_level_definitions(tree)]
+    assert bound == ["__version__"]
+    assert all(isinstance(node, (ast.Expr, ast.Assign)) for node in tree.body)
