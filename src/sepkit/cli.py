@@ -7,23 +7,13 @@ Exit codes: 0 success, 1 verification or rounding failure, 2 usage/I-O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from .concave import STARTS, solve_relaxation
 from .embeddings import Embedding, embedding_from_gram
-from .graphs import (
-    BRUTE_FORCE_CAP,
-    CapExceededError,
-    GraphParseError,
-    InfeasibleBalanceError,
-    dump_graph,
-    exact_balanced_separator,
-    load_dimacs,
-    load_graph,
-)
+from .graphs import BRUTE_FORCE_CAP, dump_graph, exact_balanced_separator, load_dimacs, load_graph
 from .records import batch_rows_to_csv, experiment_record, record_to_json
 from .rounding import PipelineOptions, gaussian_projection_test, pipeline
 from .solver_core import NonconvergedError
@@ -200,6 +190,14 @@ def cmd_gaussian_test(args):
     return EXIT_OK
 
 
+def seed_value(text):
+    """argparse type of every --seed: numpy's generators need a seed >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sepkit",
@@ -208,7 +206,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(sp):
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=seed_value, default=0)
 
     sp = sub.add_parser("exact", help="brute-force minimum c-balanced cut")
     sp.add_argument("--graph", required=True)
@@ -229,8 +227,9 @@ def build_parser():
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("pipeline", help="solve, round, and report a cut")
-    sp.add_argument("--graph")
-    sp.add_argument("--batch", help="directory of *.txt graphs; emits aggregate CSV")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph")
+    source.add_argument("--batch", help="directory of *.txt graphs; emits aggregate CSV")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--delta", type=float)
@@ -269,8 +268,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "pipeline" and not args.graph and not args.batch:
-        parser.error("pipeline needs --graph or --batch")
     if args.command == "pipeline" and args.batch:
         # batch mode solves every graph; one embedding or value cannot stand
         # for all of them
@@ -280,15 +277,7 @@ def main(argv=None):
                 parser.error(f"{flag} cannot be used with --batch")
     try:
         return args.func(args)
-    except (
-        GraphParseError,
-        CapExceededError,
-        InfeasibleBalanceError,
-        FileNotFoundError,
-        OSError,
-        ValueError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # parse, balance, cap and JSON errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonconvergedError as exc:

@@ -16,7 +16,6 @@ check against finite differences, and an exhaustive n = 3 grid oracle.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,7 +176,6 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
         raise ValueError(f"solve_concave needs p < 2, got {p}")
     if g.n > CONCAVE_N_CAP:
         raise ValueError(f"n={g.n} beyond the desk-scale cap {CONCAVE_N_CAP}")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(opts.seed)
     starts = []
     for members in _cut_start_members(g, c, max(opts.starts - 1, 1), rng):
@@ -204,7 +202,6 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
         value=value,
         residuals=check_feasibility_z(zform.matrix, params, TIGHT_TOL, TIGHT_TOL),
         iterations=total_iter,
-        wall_time=time.perf_counter() - t0,
         converged=converged,
     )
     return zform, report

@@ -73,7 +73,8 @@ class Embedding:
 
 @dataclass(frozen=True)
 class RelaxationParams:
-    """Exponent p in (0, 2] and balance fraction c in (0, 1/2]."""
+    """Exponent p, checked to lie in (0, 2], and balance fraction c, whose
+    rule is `graphs.require_balanced_sizes`."""
 
     p: float
     c: float
@@ -81,8 +82,6 @@ class RelaxationParams:
     def __post_init__(self):
         if not (0.0 < self.p <= 2.0):
             raise ValueError(f"p must lie in (0, 2], got {self.p}")
-        if not (0.0 < self.c <= 0.5):
-            raise ValueError(f"c must lie in (0, 1/2], got {self.c}")
 
 
 def _check_square_symmetric(a, name, tol=1e-10):

@@ -172,9 +172,12 @@ def balanced_size_range(n: int, c) -> range:
 
 
 def require_balanced_sizes(n: int, c) -> range:
-    """`balanced_size_range(n, c)`, raising InfeasibleBalanceError when it is
-    empty; every solver and the rounding pipeline check an instance with it
-    before any work."""
+    """The rule for c: ValueError unless c lies in (0, 1/2] (NaN and +-inf
+    included), then `balanced_size_range(n, c)`, raising
+    InfeasibleBalanceError when it is empty.  The exact oracle, every solver
+    and the rounding pipeline check an instance with it before any work."""
+    if not 0.0 < c <= 0.5:
+        raise ValueError(f"c must lie in (0, 1/2], got {c}")
     sizes = balanced_size_range(n, c)
     if len(sizes) == 0:
         raise InfeasibleBalanceError(f"no size s with cn < s < (1-c)n for c={c}, n={n}")

@@ -29,31 +29,10 @@ class RoundingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RoundingParams:
-    """Inputs of one set-find round: separation delta, output balance c_prime
-    and projection margin sigma."""
-
-    delta: float
-    c_prime: float
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.delta <= 0 or self.sigma <= 0:
-            raise ValueError("delta and sigma must be positive")
-        if not (0.0 < self.c_prime < 0.5):
-            raise ValueError("c_prime must lie in (0, 1/2)")
-
-
-@dataclass(frozen=True)
-class SeparatedSets:
-    s_side: tuple
-    t_side: tuple
-
-
-@dataclass(frozen=True)
 class SetFindResult:
     success: bool
-    sets: SeparatedSets
+    s_side: tuple
+    t_side: tuple
     halted: bool  # stopped at the size check before deletion
     deleted_pairs: tuple
 
@@ -67,18 +46,17 @@ def delta_target(n: int, p: float) -> float:
 
 def random_unit_vector(d: int, rng) -> np.ndarray:
     u = rng.standard_normal(d)
-    norm = np.linalg.norm(u)
-    while norm == 0.0:  # pragma: no cover - probability zero
-        u = rng.standard_normal(d)
-        norm = np.linalg.norm(u)
-    return u / norm
+    return u / np.linalg.norm(u)
 
 
 def modified_set_find(
     e: Embedding,
     dist: np.ndarray,
-    params: RoundingParams,
     rng,
+    *,
+    delta: float,
+    c_prime: float,
+    sigma: float = 1.0,
     direction=None,
 ) -> SetFindResult:
     """One projection round: median split with sigma/(2 sqrt(d)) margins, then
@@ -95,14 +73,15 @@ def modified_set_find(
     u = np.asarray(direction, dtype=float) if direction is not None else random_unit_vector(d, rng)
     proj = e.vectors @ u
     med = float(np.median(proj))
-    margin = params.sigma / (2.0 * math.sqrt(d))
+    margin = sigma / (2.0 * math.sqrt(d))
     s_prime = [i for i in range(n) if proj[i] >= med + margin]
     t_prime = [i for i in range(n) if proj[i] <= med - margin]
-    threshold = 2.0 * params.c_prime * n
+    threshold = 2.0 * c_prime * n
     if len(s_prime) <= threshold or len(t_prime) <= threshold:
         return SetFindResult(
             success=False,
-            sets=SeparatedSets(tuple(s_prime), tuple(t_prime)),
+            s_side=tuple(s_prime),
+            t_side=tuple(t_prime),
             halted=True,
             deleted_pairs=(),
         )
@@ -110,22 +89,17 @@ def modified_set_find(
     alive_t = dict.fromkeys(t_prime, True)
     deleted = []
     for i in s_prime:
-        if not alive_s[i]:
-            continue
         for j in t_prime:
-            if not alive_t[j]:
-                continue
-            if dist[i, j] <= params.delta:
-                alive_s[i] = False
-                alive_t[j] = False
+            if alive_t[j] and dist[i, j] <= delta:
+                alive_s[i] = alive_t[j] = False
                 deleted.append((i, j))
                 break
     s_side = tuple(i for i in s_prime if alive_s[i])
     t_side = tuple(j for j in t_prime if alive_t[j])
-    ok = len(s_side) >= params.c_prime * n and len(t_side) >= params.c_prime * n
     return SetFindResult(
-        success=ok,
-        sets=SeparatedSets(s_side, t_side),
+        success=len(s_side) >= c_prime * n and len(t_side) >= c_prime * n,
+        s_side=s_side,
+        t_side=t_side,
         halted=False,
         deleted_pairs=tuple(deleted),
     )
@@ -143,7 +117,7 @@ def check_separated(e: Embedding, s_side, t_side, p: float, delta: float):
     return bool(block[k] >= delta), worst
 
 
-def produce_cut(g: Graph, dist: np.ndarray, sep: SeparatedSets, delta: float, rng) -> Cut:
+def produce_cut(g: Graph, dist: np.ndarray, s_side, t_side, delta: float, rng) -> Cut:
     """Threshold cut: weight each edge ij with dist[i, j] = ||v_i - v_j||^p and
     take V_r, the vertices within shortest-path distance r of the S side, for
     r uniform in [0, delta).
@@ -152,7 +126,7 @@ def produce_cut(g: Graph, dist: np.ndarray, sep: SeparatedSets, delta: float, rn
     S-to-T path at least delta long; unreachable vertices count as infinitely
     far and land outside.  Raises RoundingError if T still intersects V_r.
     """
-    if not sep.s_side or not sep.t_side:
+    if not s_side or not t_side:
         raise ValueError("both sides of the separation must be nonempty")
     adjacency = [[] for _ in range(g.n)]
     for i, j in g.edges:
@@ -161,7 +135,7 @@ def produce_cut(g: Graph, dist: np.ndarray, sep: SeparatedSets, delta: float, rn
         adjacency[j].append((i, w))
     length = [math.inf] * g.n
     heap = []
-    for s in sep.s_side:
+    for s in s_side:
         length[s] = 0.0
         heapq.heappush(heap, (0.0, s))
     while heap:
@@ -175,9 +149,9 @@ def produce_cut(g: Graph, dist: np.ndarray, sep: SeparatedSets, delta: float, rn
                 heapq.heappush(heap, (nd, w))
     r = float(rng.uniform(0.0, delta))
     members = {v for v in range(g.n) if length[v] <= r}
-    if not set(sep.s_side) <= members:
+    if not set(s_side) <= members:
         raise RoundingError("S side escaped the threshold region")
-    if members & set(sep.t_side):
+    if members & set(t_side):
         raise RoundingError(
             "T side entered the threshold region; separation or feasibility "
             "of the embedding must have been violated"
@@ -203,8 +177,8 @@ class PipelineReport:
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    """Settings of one pipeline run.  delta=None means delta_target(n, p);
-    the set-find balance c' is always c/4."""
+    """Settings of one pipeline run, checked here as they enter.  delta=None
+    means delta_target(n, p); the set-find balance c' is always c/4."""
 
     delta: float | None = None
     sigma: float = 1.0
@@ -213,6 +187,10 @@ class PipelineOptions:
     starts: int = STARTS  # concave multistart width
 
     def __post_init__(self):
+        if self.delta is not None and not self.delta > 0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.retries < 1:
             raise ValueError(f"retries must be >= 1, got {self.retries}")
 
@@ -237,8 +215,8 @@ def pipeline(
     stored solver artifact into the rounding stage.  It must have one vector
     per vertex of g.  The relaxation value then defaults to the embedding's
     own objective at exponent p; a value without an embedding is rejected,
-    since the solve would replace it.  Balance, then (p, c), are checked
-    before any work, as the solvers check them.
+    since the solve would replace it.  c, balance and p are checked before
+    any work, as the solvers check them.
     """
     require_balanced_sizes(g.n, c)
     RelaxationParams(p, c)
@@ -246,11 +224,7 @@ def pipeline(
         raise ValueError("a relaxation value needs the embedding it was solved for")
     if embedding is not None and embedding.n != g.n:
         raise ValueError(f"embedding has {embedding.n} vectors, graph has {g.n} vertices")
-    params = RoundingParams(
-        delta=opts.delta if opts.delta is not None else delta_target(g.n, p),
-        c_prime=c / 4.0,
-        sigma=opts.sigma,
-    )
+    delta = opts.delta if opts.delta is not None else delta_target(g.n, p)
     if embedding is None:
         x, rep = solve_relaxation(g, c, p, seed=opts.seed, starts=opts.starts)
         embedding = embedding_from_gram(x)
@@ -266,9 +240,11 @@ def pipeline(
     cut, attempts = None, opts.retries
     for attempt in range(opts.retries):
         rng = attempt_rng(opts.seed, attempt)
-        found = modified_set_find(embedding, dist, params, rng)
+        found = modified_set_find(
+            embedding, dist, rng, delta=delta, c_prime=c / 4.0, sigma=opts.sigma
+        )
         if found.success:
-            cut = produce_cut(g, dist, found.sets, params.delta, rng)
+            cut = produce_cut(g, dist, found.s_side, found.t_side, delta, rng)
             attempts = attempt + 1
             break
 
@@ -288,7 +264,7 @@ def pipeline(
         ratio=ratio,
         attempts=attempts,
         succeeded=cut is not None,
-        delta=params.delta,
+        delta=delta,
         exact_value=exact,
         p=p,
         c=c,

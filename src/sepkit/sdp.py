@@ -9,7 +9,6 @@ the returned value is never worse than that warm start.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ class SolveReport:
     value: float
     residuals: FeasibilityReport
     iterations: int
-    wall_time: float
     converged: bool  # False when a solver loop stopped at its round or step cap
 
 
@@ -79,7 +77,6 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
     params = RelaxationParams(2.0, c)
     if g.n > SDP_N_CAP:
         raise ValueError(f"n={g.n} beyond the desk-scale cap {SDP_N_CAP}")
-    t0 = time.perf_counter()
     result = core.minimize_linear_zform(
         objective_matrix(g),
         2.0,
@@ -92,7 +89,6 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
         value=result.value,
         residuals=check_feasibility_z(result.z, params, Z_TOL, Z_TOL),
         iterations=result.iterations,
-        wall_time=time.perf_counter() - t0,
         converged=result.converged,
     )
     return gram_from_z(ZForm(result.z)), report

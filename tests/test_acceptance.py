@@ -31,7 +31,6 @@ from sepkit.graphs import Cut, balanced_size_range, cut_size
 from sepkit.records import strip_timestamp, record_to_json
 from sepkit.rounding import (
     PipelineOptions,
-    RoundingParams,
     attempt_rng,
     check_separated,
     modified_set_find,
@@ -170,16 +169,15 @@ def test_criterion_6_rounding_correctness(pipeline_runs):
         c_prime = C / 4.0
         assert k >= c_prime * g.n and g.n - k >= c_prime * g.n, (name, p, seed)
         # replay the successful attempt to recover the separated sets
-        params = RoundingParams(delta=rep.delta, sigma=1.0, c_prime=c_prime)
         dist = emb.distance_matrix() ** p
-        found = modified_set_find(emb, dist, params, attempt_rng(seed, rep.attempts - 1))
-        assert found.success, (name, p, seed)
-        ok, worst = check_separated(
-            emb, found.sets.s_side, found.sets.t_side, p, rep.delta
+        found = modified_set_find(
+            emb, dist, attempt_rng(seed, rep.attempts - 1), delta=rep.delta, c_prime=c_prime
         )
+        assert found.success, (name, p, seed)
+        ok, worst = check_separated(emb, found.s_side, found.t_side, p, rep.delta)
         assert ok, (name, p, seed, worst)
-        assert set(found.sets.s_side) <= members, (name, p, seed)
-        assert not (set(found.sets.t_side) & members), (name, p, seed)
+        assert set(found.s_side) <= members, (name, p, seed)
+        assert not (set(found.t_side) & members), (name, p, seed)
     rate = successes / len(pipeline_runs)
     announce(
         6,
@@ -239,28 +237,28 @@ def test_criterion_7_cross_solver_oracle_n3():
 def test_criterion_8_set_find_fixtures():
     antipodal = Embedding(np.array([[1.0]] * 4 + [[-1.0]] * 4))
     dist = antipodal.distance_matrix()  # the ||v_i - v_j||^p table at p = 1
-    params = RoundingParams(delta=1.0, sigma=0.5, c_prime=1 / 8)
+    params = {"delta": 1.0, "sigma": 0.5, "c_prime": 1 / 8}
     rng = np.random.default_rng(0)
 
-    res = modified_set_find(antipodal, dist, params, rng, direction=[1.0])
+    res = modified_set_find(antipodal, dist, rng, **params, direction=[1.0])
     fixture1 = (
         res.success
-        and res.sets.s_side == (0, 1, 2, 3)
-        and res.sets.t_side == (4, 5, 6, 7)
+        and res.s_side == (0, 1, 2, 3)
+        and res.t_side == (4, 5, 6, 7)
         and res.deleted_pairs == ()
     )
 
     identical = Embedding(np.ones((8, 1)))
-    res = modified_set_find(identical, identical.distance_matrix(), params, rng, direction=[1.0])
+    res = modified_set_find(identical, identical.distance_matrix(), rng, **params, direction=[1.0])
     fixture2 = (not res.success) and res.halted
 
-    big_delta = RoundingParams(delta=2.0 + 0.1, sigma=0.5, c_prime=1 / 8)
-    res = modified_set_find(antipodal, dist, big_delta, rng, direction=[1.0])
+    big_delta = {**params, "delta": 2.0 + 0.1}
+    res = modified_set_find(antipodal, dist, rng, **big_delta, direction=[1.0])
     fixture3 = (
         (not res.success)
         and (not res.halted)
-        and res.sets.s_side == ()
-        and res.sets.t_side == ()
+        and res.s_side == ()
+        and res.t_side == ()
         and len(res.deleted_pairs) == 4
     )
 

@@ -121,9 +121,15 @@ def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
         ["gaussian-test", "--d", "0", "--x", "0.1"],
         # a solve would replace the value, so it cannot come without --embedding
         ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--relaxation-value", "99"],
+        # the oracle follows the same c rule as every solver
+        ["exact", "--graph", "C4", "--c", "0"],
+        ["exact", "--graph", "C4", "--c", "inf"],
+        ["solve", "--graph", "C4", "--p", "2", "--c", "nan"],
+        ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--delta", "0"],
     ],
     ids=["pipeline-retries-3", "pipeline-retries0", "solve-p2-starts0", "gaussian-d0",
-         "pipeline-value-without-embedding"],
+         "pipeline-value-without-embedding", "exact-c0", "exact-cinf", "solve-cnan",
+         "pipeline-delta0"],
 )
 def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
     code = main([str(c4_file) if a == "C4" else a for a in argv])
@@ -138,8 +144,11 @@ def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
     [("2", "0", "c must lie in (0, 1/2], got 0.0"),
      ("2", "-0.25", "c must lie in (0, 1/2], got -0.25"),
      ("2.5", "0.25", "p must lie in (0, 2], got 2.5"),
-     ("2", "0.6", "no size s with cn < s < (1-c)n for c=0.6, n=4")],
-    ids=["c0", "c-0.25", "p2.5", "c0.6-infeasible"],
+     ("2", "0.6", "c must lie in (0, 1/2], got 0.6"),
+     ("2", "inf", "c must lie in (0, 1/2], got inf"),
+     ("2", "nan", "c must lie in (0, 1/2], got nan"),
+     ("2", "0.5", "no size s with cn < s < (1-c)n for c=0.5, n=4")],
+    ids=["c0", "c-0.25", "p2.5", "c0.6", "cinf", "cnan", "c0.5-infeasible"],
 )
 def test_pipeline_bad_instance_names_the_input(c4_file, capsys, p, c, message):
     # the error names what the caller set (c, not the derived c_prime)
@@ -188,10 +197,30 @@ def test_pipeline_record_and_determinism(c4_file, capsys):
     assert rec1["results"]["cut_size"] >= 2
 
 
-def test_pipeline_needs_graph_or_batch(capsys):
+def test_pipeline_needs_graph_or_batch(c4_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--p", "1", "--c", "0.25"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # one of them, never both: batch mode would drop --graph unread
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--graph", str(c4_file), "--batch", str(tmp_path),
+              "--p", "1", "--c", "0.25"])
+    assert exc.value.code == 2
+    assert "argument --batch: not allowed with argument --graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25"],
+     ["verify", "--suite", "roundtrip"]],
+    ids=["pipeline", "verify"],
+)
+def test_negative_seed_is_a_usage_error(c4_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([str(c4_file) if a == "C4" else a for a in argv] + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_pipeline_rounding_failure_exit_1(c4_file, capsys):

@@ -152,9 +152,10 @@ def test_solve_concave_rejects_bad_exponent():
         solve_concave(g, C, 0.0)
 
 
-# every entry that takes (p, c) checks balance, then the ranges, before the
-# exact oracle or the core runs; solve_sdp has no p to check
+# every entry checks c, then balance, then p, before the exact oracle's
+# enumeration or the core runs; the oracle and solve_sdp have no p to check
 ENTRIES = {
+    "exact_balanced_separator": lambda g, c, p: exact_balanced_separator(g, c),
     "solve_sdp": lambda g, c, p: solve_sdp(g, c),
     "solve_concave": lambda g, c, p: solve_concave(g, c, p, ConcaveOptions(starts=1)),
     "solve_relaxation": lambda g, c, p: solve_relaxation(g, c, p),
@@ -168,6 +169,7 @@ def no_solver_work(monkeypatch):
         raise AssertionError("solver work ran before the input check")
 
     monkeypatch.setattr(core, "minimize_linear_zform", work)
+    monkeypatch.setattr(graphs, "subset_cut_table", work)
     for mod in (graphs, sdp, concave, rounding):
         monkeypatch.setattr(mod, "exact_balanced_separator", work)
 
@@ -176,15 +178,18 @@ BAD_INSTANCES = (
     (0.0, 1.0, ValueError, "c must lie"),
     (-0.25, 1.0, ValueError, "c must lie"),
     (C, 2.5, ValueError, "p must lie"),
-    # c = 0.6 is outside (0, 1/2] too; the balance check comes first
-    (0.6, 1.0, InfeasibleBalanceError, "no size s"),
+    (0.6, 1.0, ValueError, "c must lie"),
+    (float("inf"), 1.0, ValueError, "c must lie"),
+    (float("nan"), 1.0, ValueError, "c must lie"),
+    # a valid c that leaves no size strictly between cn and (1 - c)n
+    (0.5, 1.0, InfeasibleBalanceError, "no size s"),
 )
 
 
 @pytest.mark.parametrize(
     "entry, c, p, error, match",
     [(entry, *case) for entry in sorted(ENTRIES) for case in BAD_INSTANCES
-     if entry != "solve_sdp" or case[1] == 1.0],
+     if entry not in ("exact_balanced_separator", "solve_sdp") or case[1] == 1.0],
 )
 def test_entries_reject_bad_instances_before_work(no_solver_work, entry, c, p, error, match):
     with pytest.raises(error, match=match):

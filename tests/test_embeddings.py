@@ -42,8 +42,6 @@ def test_relaxation_params_validation():
         RelaxationParams(2.5, 0.25)
     with pytest.raises(ValueError):
         RelaxationParams(0.0, 0.25)
-    with pytest.raises(ValueError):
-        RelaxationParams(1.0, 0.6)
 
 
 def test_cut_to_embedding():

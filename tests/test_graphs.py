@@ -156,8 +156,9 @@ def test_subset_cut_table_matches_cut_size(n, seed):
 
 
 def test_exact_infeasible_balance():
+    # c = 1/2 is a valid fraction that leaves no size strictly inside (n/2, n/2)
     with pytest.raises(InfeasibleBalanceError):
-        exact_balanced_separator(Graph(2, ((0, 1),)), 0.6)
+        exact_balanced_separator(Graph(2, ((0, 1),)), 0.5)
 
 
 def test_exact_cap():

@@ -8,9 +8,7 @@ from sepkit.embeddings import Embedding, cut_to_embedding
 from sepkit.graphs import Cut, Graph, InfeasibleBalanceError
 from sepkit.rounding import (
     PipelineOptions,
-    RoundingParams,
     RoundingError,
-    SeparatedSets,
     attempt_rng,
     check_separated,
     delta_target,
@@ -21,7 +19,7 @@ from sepkit.rounding import (
 )
 
 ANTIPODAL = Embedding(np.array([[1.0]] * 4 + [[-1.0]] * 4))
-FIXTURE_PARAMS = RoundingParams(delta=1.0, sigma=0.5, c_prime=1 / 8)
+FIXTURE_PARAMS = {"delta": 1.0, "sigma": 0.5, "c_prime": 1 / 8}
 # set-find and produce_cut read ||v_i - v_j||^p; every table here is at p = 1
 ANTIPODAL_DIST = ANTIPODAL.distance_matrix()
 
@@ -46,64 +44,64 @@ def test_delta_target_strictly_decreasing_in_n_and_p():
 
 def test_set_find_fixture_antipodal_success():
     res = modified_set_find(
-        ANTIPODAL, ANTIPODAL_DIST, FIXTURE_PARAMS, np.random.default_rng(0), direction=[1.0]
+        ANTIPODAL, ANTIPODAL_DIST, np.random.default_rng(0), **FIXTURE_PARAMS, direction=[1.0]
     )
     assert res.success
-    assert res.sets.s_side == (0, 1, 2, 3)
-    assert res.sets.t_side == (4, 5, 6, 7)
+    assert res.s_side == (0, 1, 2, 3)
+    assert res.t_side == (4, 5, 6, 7)
     assert res.deleted_pairs == ()
 
 
 def test_set_find_fixture_identical_vectors_fail():
     e = Embedding(np.ones((8, 1)))
     res = modified_set_find(
-        e, e.distance_matrix(), FIXTURE_PARAMS, np.random.default_rng(0), direction=[1.0]
+        e, e.distance_matrix(), np.random.default_rng(0), **FIXTURE_PARAMS, direction=[1.0]
     )
     assert not res.success
     assert res.halted
-    assert res.sets.s_side == ()
+    assert res.s_side == ()
 
 
 def test_set_find_fixture_overlarge_delta_deletes_everything():
-    params = RoundingParams(delta=2.0 + 0.1, sigma=0.5, c_prime=1 / 8)
+    params = {**FIXTURE_PARAMS, "delta": 2.0 + 0.1}
     res = modified_set_find(
-        ANTIPODAL, ANTIPODAL_DIST, params, np.random.default_rng(0), direction=[1.0]
+        ANTIPODAL, ANTIPODAL_DIST, np.random.default_rng(0), **params, direction=[1.0]
     )
     assert not res.success
     assert not res.halted
-    assert res.sets.s_side == ()
-    assert res.sets.t_side == ()
+    assert res.s_side == ()
+    assert res.t_side == ()
     assert len(res.deleted_pairs) == 4
 
 
 def test_set_find_requires_explicit_thresholds():
     # delta and c_prime have no defaults: set-find never runs on a guess
+    rng = np.random.default_rng(0)
     for kwargs in ({}, {"delta": 1.0}, {"c_prime": 1 / 8}):
         with pytest.raises(TypeError):
-            RoundingParams(**kwargs)
-    for bad in ({"delta": 0.0}, {"c_prime": 0.5}, {"sigma": -1.0}):
-        with pytest.raises(ValueError):
-            RoundingParams(**{"delta": 1.0, "c_prime": 1 / 8, **bad})
+            modified_set_find(ANTIPODAL, ANTIPODAL_DIST, rng, **kwargs)
+    # the pipeline's settings are checked where they enter
+    for field, bad in (("delta", 0.0), ("delta", math.nan), ("sigma", -1.0), ("sigma", math.nan)):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            PipelineOptions(**{field: bad})
 
 
 def test_set_find_success_is_separated():
     rng_master = np.random.default_rng(42)
-    params = RoundingParams(delta=0.5, sigma=1.0, c_prime=1 / 16)
+    params = {"delta": 0.5, "sigma": 1.0, "c_prime": 1 / 16}
     successes = 0
     for trial in range(500):
         n = int(rng_master.integers(6, 13))
         v = rng_master.standard_normal((n, n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         e = Embedding(v)
-        res = modified_set_find(e, e.distance_matrix(), params, np.random.default_rng(trial))
+        res = modified_set_find(e, e.distance_matrix(), np.random.default_rng(trial), **params)
         if res.success:
             successes += 1
-            ok, worst = check_separated(
-                e, res.sets.s_side, res.sets.t_side, 1.0, params.delta
-            )
+            ok, worst = check_separated(e, res.s_side, res.t_side, 1.0, params["delta"])
             assert ok, worst
-            assert len(res.sets.s_side) >= params.c_prime * n
-            assert len(res.sets.t_side) >= params.c_prime * n
+            assert len(res.s_side) >= params["c_prime"] * n
+            assert len(res.t_side) >= params["c_prime"] * n
     assert successes > 0
 
 
@@ -120,9 +118,8 @@ def test_check_separated_examples():
 def test_produce_cut_recovers_c4_cut():
     g = cycle_graph(4)
     e = cut_to_embedding(g, Cut({0, 1}))
-    sep = SeparatedSets((0, 1), (2, 3))
     for seed in range(10):
-        cut = produce_cut(g, e.distance_matrix(), sep, 1.0, np.random.default_rng(seed))
+        cut = produce_cut(g, e.distance_matrix(), (0, 1), (2, 3), 1.0, np.random.default_rng(seed))
         assert cut.sorted_members() == (0, 1)
 
 
@@ -134,7 +131,7 @@ def test_produce_cut_zero_radius_keeps_zero_distance_vertices():
         def uniform(self, lo, hi):
             return 0.0
 
-    cut = produce_cut(g, e.distance_matrix(), SeparatedSets((0,), (2,)), 1.0, ZeroRng())
+    cut = produce_cut(g, e.distance_matrix(), (0,), (2,), 1.0, ZeroRng())
     # vertex 1 sits at distance 0 from vertex 0; the isolated vertex is
     # unreachable and stays outside
     assert cut.sorted_members() == (0, 1)
@@ -143,8 +140,7 @@ def test_produce_cut_zero_radius_keeps_zero_distance_vertices():
 def test_produce_cut_isolated_vertex_excluded():
     g = Graph(4, ((0, 1), (1, 2)))
     e = Embedding(np.array([[1.0], [1.0], [1.0], [-1.0]]))
-    sep = SeparatedSets((0, 1, 2), (3,))
-    cut = produce_cut(g, e.distance_matrix(), sep, 0.5, np.random.default_rng(0))
+    cut = produce_cut(g, e.distance_matrix(), (0, 1, 2), (3,), 0.5, np.random.default_rng(0))
     assert cut.sorted_members() == (0, 1, 2)
 
 
@@ -152,7 +148,7 @@ def test_produce_cut_rejects_empty_side():
     g = cycle_graph(4)
     e = cut_to_embedding(g, Cut({0, 1}))
     with pytest.raises(ValueError):
-        produce_cut(g, e.distance_matrix(), SeparatedSets((0,), ()), 1.0, np.random.default_rng(0))
+        produce_cut(g, e.distance_matrix(), (0,), (), 1.0, np.random.default_rng(0))
 
 
 def test_produce_cut_detects_bad_separation():
@@ -160,9 +156,7 @@ def test_produce_cut_detects_bad_separation():
     g = Graph(2, ((0, 1),))
     e = Embedding(np.array([[1.0], [1.0]]))
     with pytest.raises(RoundingError):
-        produce_cut(
-            g, e.distance_matrix(), SeparatedSets((0,), (1,)), 1.0, np.random.default_rng(0)
-        )
+        produce_cut(g, e.distance_matrix(), (0,), (1,), 1.0, np.random.default_rng(0))
 
 
 def test_pipeline_c4_p2():
@@ -196,8 +190,9 @@ def test_pipeline_rounds_given_embedding_without_value():
 
 
 def test_pipeline_infeasible_balance():
+    # c = 1/2 is a valid fraction that leaves no size strictly inside (n/2, n/2)
     with pytest.raises(InfeasibleBalanceError):
-        pipeline(Graph(2, ((0, 1),)), 0.6, 1.0)
+        pipeline(Graph(2, ((0, 1),)), 0.5, 1.0)
 
 
 def test_pipeline_failure_is_report_not_error():

@@ -64,7 +64,7 @@ def test_round_cap_marks_result_unconverged():
     assert settled.converged
 
 
-def test_nonconverged_error_carries_best_iterate():
+def test_infeasible_spread_raises_nonconverged():
     # spread demand above the geometric maximum sum of z entries
     c_mat = np.zeros((3, 3))
     with pytest.raises(core.NonconvergedError, match="no feasible iterate"):

@@ -185,3 +185,47 @@ def test_package_root_binds_only_the_version():
     bound = [name for name, _, _ in top_level_definitions(tree)]
     assert bound == ["__version__"]
     assert all(isinstance(node, (ast.Expr, ast.Assign)) for node in tree.body)
+
+
+# members read only by tests or only through `asdict`, each with its reason
+UNREAD_MEMBERS = {
+    # `asdict(report.residuals)` writes it to every `sepkit solve` record
+    "FeasibilityReport.max_unit_violation",
+    # criterion 8's hand trace checks which cross pairs set-find deleted
+    "SetFindResult.deleted_pairs",
+}
+
+
+def class_members(tree):
+    """(class, member, first line, last line of the class) of each method
+    (dunders aside) and each annotated field of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield node.name, item.name, node.lineno, node.end_lineno
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, node.lineno, node.end_lineno
+
+
+def member_references(tree):
+    """(name, line) of every attribute load and every string constant, the
+    way records and CSV rows name a field."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_every_method_and_field_has_a_reader_outside_its_class():
+    refs = {path: list(member_references(ast.parse(path.read_text())))
+            for folder in ("src", "scripts", "bench")
+            for path in sorted((ROOT / folder).rglob("*.py"))}
+    unread = set()
+    for path in sorted((ROOT / "src" / "sepkit").glob("*.py")):
+        for cls, name, first, last in class_members(ast.parse(path.read_text())):
+            if not any(ref == name and not (where == path and first <= line <= last)
+                       for where, found in refs.items() for ref, line in found):
+                unread.add(f"{cls}.{name}")
+    assert unread == UNREAD_MEMBERS, sorted(unread ^ UNREAD_MEMBERS)
