@@ -38,10 +38,13 @@ def _emit(record, out_path):
 
 def cmd_exact(args):
     g = _read_graph(args.graph)
-    cut, value = exact_balanced_separator(g, args.c, cap=args.cap)
+    exact = exact_balanced_separator(g, args.c)
+    if exact is None:
+        raise ValueError(f"n={g.n} exceeds the exact oracle's cap {BRUTE_FORCE_CAP}")
+    cut, value = exact
     record = experiment_record(
         "exact",
-        {"graph": args.graph, "c": args.c, "cap": args.cap},
+        {"graph": args.graph, "c": args.c},
         {"n": g.n, "m": g.m, "value": value, "cut_members": list(cut.sorted_members())},
     )
     _emit(record, args.out)
@@ -211,7 +214,6 @@ def build_parser():
     sp = sub.add_parser("exact", help="brute-force minimum c-balanced cut")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_exact)
 

@@ -25,14 +25,14 @@ from .embeddings import (
     GramForm,
     RelaxationParams,
     ZForm,
-    check_feasibility_z,
+    check_feasibility,
     gram_from_z,
+    objective_gradient,
     objective_z,
     z_from_gram,
     zform_spread_requirement,
 )
 from .graphs import (
-    BRUTE_FORCE_CAP,
     Graph,
     InfeasibleBalanceError,
     balanced_size_range,
@@ -43,7 +43,6 @@ from .graphs import (
 from .sdp import SolveReport, cut_z_matrix, solve_sdp
 
 CONCAVE_N_CAP = 24
-GRAD_FLOOR = 1e-4  # d(z^{p/2})/dz is unbounded at 0; cap the linearization slope
 STARTS = 4  # default multistart width of every p < 2 solve
 
 
@@ -65,19 +64,6 @@ class ConcavityReport:
     passed: bool
 
 
-def objective_gradient(g: Graph, z: np.ndarray, p: float):
-    """Entrywise gradient of the concave Z-objective as a symmetric matrix
-    (half weight per mirror entry), with the slope capped near z = 0."""
-    n = z.shape[0]
-    grad = np.zeros((n, n))
-    scale = (p / 2.0) / 2.0 ** (p / 2.0)
-    for i, j in g.edges:
-        coef = scale * max(float(z[i, j]), GRAD_FLOOR) ** (p / 2.0 - 1.0)
-        grad[i, j] += coef / 2.0
-        grad[j, i] += coef / 2.0
-    return grad
-
-
 def _cut_start_members(g: Graph, c: float, starts: int, rng):
     """Deterministic list of cut member-sets to seed the multistart: the best
     balanced cut first, then a seeded sample of the others (canonical side
@@ -96,9 +82,9 @@ def _cut_start_members(g: Graph, c: float, starts: int, rng):
         return [set(members) for _, members in chosen]
     sizes = balanced_size_range(g.n, c)
     picks = []
-    if g.n <= BRUTE_FORCE_CAP:
-        best, _ = exact_balanced_separator(g, c)
-        picks.append(set(best.members))
+    exact = exact_balanced_separator(g, c)
+    if exact is not None:
+        picks.append(set(exact[0].members))
     while len(picks) < starts:
         k = int(rng.integers(sizes.start, sizes.stop))
         members = set(rng.choice(g.n, size=k, replace=False).tolist())
@@ -200,7 +186,7 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
     zform = ZForm(z)
     report = SolveReport(
         value=value,
-        residuals=check_feasibility_z(zform.matrix, params, TIGHT_TOL, TIGHT_TOL),
+        residuals=check_feasibility(zform.matrix, params, TIGHT_TOL, TIGHT_TOL),
         iterations=total_iter,
         converged=converged,
     )

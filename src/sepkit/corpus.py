@@ -77,11 +77,12 @@ def solve_corpus(graphs, c: float, exponents, *, seed: int = 0, starts: int = ST
     """Solve every (name, graph) at every exponent in order.
 
     Yields (name, g, alpha, p, x, report): alpha is the exact c-balanced
-    optimum, computed once per graph, and (x, report) is
-    `solve_relaxation(g, c, p, seed=seed, starts=starts)`.
+    optimum, computed once per graph (None beyond the oracle's reach), and
+    (x, report) is `solve_relaxation(g, c, p, seed=seed, starts=starts)`.
     """
     for name, g in graphs:
-        _, alpha = exact_balanced_separator(g, c)
+        exact = exact_balanced_separator(g, c)
+        alpha = None if exact is None else exact[1]
         for p in exponents:
             x, report = solve_relaxation(g, c, p, seed=seed, starts=starts)
             yield name, g, alpha, p, x, report

@@ -8,7 +8,7 @@ is pure and immutable; solvers build on these conversions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,9 +16,8 @@ from .graphs import Graph, Cut
 from .solver_core import max_triangle_violation_z, spread_sum
 
 TOL_UNIT = 1e-8
-TOL_TRIANGLE = 1e-8
-TOL_SPREAD = 1e-8
 TOL_PSD = 1e-7
+GRAD_FLOOR = 1e-4  # d(z^{p/2})/dz is unbounded at 0; cap the linearization slope
 
 
 class NotPsdError(ValueError):
@@ -42,9 +41,6 @@ class Embedding:
     @property
     def d(self):
         return self.vectors.shape[1]
-
-    def norms(self):
-        return np.linalg.norm(self.vectors, axis=1)
 
     def distance_matrix(self):
         """Pairwise Euclidean distances, exact zeros on the diagonal."""
@@ -161,11 +157,13 @@ def objective(g: Graph, e: Embedding, p: float) -> float:
     return float(np.sum(dist**p) / 2.0**p)
 
 
-def check_feasibility_z(z, params: RelaxationParams, tol_triangle, tol_spread):
+def check_feasibility(z, params: RelaxationParams, tol_triangle, tol_spread):
     """Residuals of a Z matrix, judged in Z units, where the solvers enforce
-    their tolerance: zero diagonal, sum_{i<j} z_ij >= 2c(1-c)n^2 within
-    tol_spread, z_ik^{p/2} <= z_ij^{p/2} + z_jk^{p/2} within tol_triangle
-    (an exact n^3 scan), and no eigenvalue of X = 1 - Z below -TOL_PSD.
+    their tolerance: norms sqrt(1 - z_ii) within TOL_UNIT of 1 (an
+    embedding's Z is 1 minus its Gram matrix, diagonal kept),
+    sum_{i<j} z_ij >= 2c(1-c)n^2 within tol_spread,
+    z_ik^{p/2} <= z_ij^{p/2} + z_jk^{p/2} within tol_triangle (an exact n^3
+    scan), and no eigenvalue of X = 1 - Z below -TOL_PSD.
 
     Reported in vector units, where ||v_i - v_j||^2 = 2 z_ij: the spread
     slack times 2 and the triangle violation times 2^{p/2}.
@@ -182,23 +180,6 @@ def check_feasibility_z(z, params: RelaxationParams, tol_triangle, tol_spread):
         and min_eig >= -TOL_PSD
     )
     return FeasibilityReport(unit, 2.0 ** (params.p / 2.0) * tri, 2.0 * slack, min_eig, ok)
-
-
-def check_feasibility(
-    e: Embedding,
-    params: RelaxationParams,
-    tol_triangle: float = TOL_TRIANGLE,
-    tol_spread: float = TOL_SPREAD,
-) -> FeasibilityReport:
-    """Residuals of an embedding at exponent params.p, tolerances in vector
-    units: the vector norms, then check_feasibility_z on z_ij =
-    ||v_i - v_j||^2 / 2."""
-    unit = float(np.max(np.abs(e.norms() - 1.0)))
-    d = e.distance_matrix()
-    rep = check_feasibility_z(
-        d * d / 2.0, params, tol_triangle / 2.0 ** (params.p / 2.0), tol_spread / 2.0
-    )
-    return replace(rep, max_unit_violation=unit, feasible=rep.feasible and unit <= TOL_UNIT)
 
 
 def gram_from_embedding(e: Embedding) -> GramForm:
@@ -244,6 +225,20 @@ def objective_z(g: Graph, z: ZForm, p: float) -> float:
         raise ValueError(f"negative z entry {vals.min():.3e} outside tolerance")
     vals = np.maximum(vals, 0.0)
     return float(np.sum(vals ** (p / 2.0)) / 2.0 ** (p / 2.0))
+
+
+def objective_gradient(g: Graph, z: np.ndarray, p: float):
+    """Entrywise gradient of objective_z as a symmetric matrix (half weight
+    per mirror entry), with the slope capped near z = 0.  At p = 2 it is the
+    constant linear objective: 1/4 per mirror entry of each edge."""
+    n = z.shape[0]
+    grad = np.zeros((n, n))
+    scale = (p / 2.0) / 2.0 ** (p / 2.0)
+    for i, j in g.edges:
+        coef = scale * max(float(z[i, j]), GRAD_FLOOR) ** (p / 2.0 - 1.0)
+        grad[i, j] += coef / 2.0
+        grad[j, i] += coef / 2.0
+    return grad
 
 
 def zform_spread_requirement(n: int, c: float) -> float:

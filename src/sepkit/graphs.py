@@ -19,10 +19,6 @@ class InfeasibleBalanceError(ValueError):
     """No subset size satisfies cn < |S| < (1-c)n."""
 
 
-class CapExceededError(ValueError):
-    """Instance is larger than the configured brute-force cap."""
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with a canonical edge tuple."""
@@ -132,13 +128,19 @@ def load_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 4:
                 raise GraphParseError(f"line {lineno}: malformed problem line {raw!r}")
-            n = int(parts[2])
+            try:
+                n, _ = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise GraphParseError(f"line {lineno}: 'p edge n m' needs integers") from None
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise GraphParseError(f"line {lineno}: edge line must be 'e i j'")
-            i, j = int(parts[1]) - 1, int(parts[2]) - 1
+            try:
+                i, j = int(parts[1]) - 1, int(parts[2]) - 1
+            except ValueError:
+                raise GraphParseError(f"line {lineno}: edge endpoints must be integers") from None
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphParseError(f"line {lineno}: vertex id out of range")
             if i == j:
@@ -238,15 +240,14 @@ def _lex_min_members(masks, n):
     return tuple(members)
 
 
-def exact_balanced_separator(g: Graph, c, cap: int = BRUTE_FORCE_CAP):
+def exact_balanced_separator(g: Graph, c):
     """Exhaustive minimum c-balanced cut; ties broken by lexicographically
-    smallest member set. Returns (Cut, value)."""
-    if g.n > cap or g.n > 31:
-        raise CapExceededError(
-            f"n={g.n} exceeds brute-force cap {min(cap, 31)}; raise cap only if "
-            f"you can afford 2^{g.n} subsets"
-        )
+    smallest member set.  Returns (Cut, value), or None when n exceeds
+    BRUTE_FORCE_CAP: the one place that decides the oracle's reach.  The
+    instance is checked first, at every n."""
     sizes = require_balanced_sizes(g.n, c)
+    if g.n > BRUTE_FORCE_CAP:
+        return None
     set_sizes, values = subset_cut_table(g)
     keep = (set_sizes >= sizes.start) & (set_sizes < sizes.stop)
     best = int(values[keep].min())

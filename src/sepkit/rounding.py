@@ -14,14 +14,7 @@ import numpy as np
 
 from .concave import STARTS, solve_relaxation
 from .embeddings import Embedding, RelaxationParams, embedding_from_gram, objective
-from .graphs import (
-    BRUTE_FORCE_CAP,
-    Cut,
-    Graph,
-    cut_size,
-    exact_balanced_separator,
-    require_balanced_sizes,
-)
+from .graphs import Cut, Graph, cut_size, exact_balanced_separator, require_balanced_sizes
 
 
 class RoundingError(RuntimeError):
@@ -215,8 +208,9 @@ def pipeline(
     stored solver artifact into the rounding stage.  It must have one vector
     per vertex of g.  The relaxation value then defaults to the embedding's
     own objective at exponent p; a value without an embedding is rejected,
-    since the solve would replace it.  c, balance and p are checked before
-    any work, as the solvers check them.
+    since the solve would replace it, and so is one that is negative, NaN
+    or infinite.  c, balance and p are checked before any work, as the
+    solvers check them.
     """
     require_balanced_sizes(g.n, c)
     RelaxationParams(p, c)
@@ -224,6 +218,8 @@ def pipeline(
         raise ValueError("a relaxation value needs the embedding it was solved for")
     if embedding is not None and embedding.n != g.n:
         raise ValueError(f"embedding has {embedding.n} vectors, graph has {g.n} vertices")
+    if relaxation_value is not None and not 0.0 <= relaxation_value < math.inf:
+        raise ValueError(f"relaxation value must be finite and >= 0, got {relaxation_value}")
     delta = opts.delta if opts.delta is not None else delta_target(g.n, p)
     if embedding is None:
         x, rep = solve_relaxation(g, c, p, seed=opts.seed, starts=opts.starts)
@@ -232,9 +228,8 @@ def pipeline(
     elif relaxation_value is None:
         relaxation_value = objective(g, embedding, p)
 
-    exact = None
-    if g.n <= BRUTE_FORCE_CAP:
-        _, exact = exact_balanced_separator(g, c)
+    oracle = exact_balanced_separator(g, c)  # None above the oracle's reach
+    exact = None if oracle is None else oracle[1]
 
     dist = embedding.distance_matrix() ** p
     cut, attempts = None, opts.retries
@@ -292,8 +287,8 @@ def gaussian_projection_test(
         raise ValueError(f"dimension d must be >= 1, got {d}")
     if samples < 10_000:
         raise ValueError("need at least 10^4 samples for a meaningful estimate")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    if not x >= 0:
+        raise ValueError(f"x must be nonnegative, got {x}")
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((samples, d))
     norms = np.linalg.norm(u, axis=1)

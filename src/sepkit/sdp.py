@@ -17,12 +17,13 @@ from . import solver_core as core
 from .embeddings import (
     FeasibilityReport,
     RelaxationParams,
-    check_feasibility_z,
+    check_feasibility,
     gram_from_z,
+    objective_gradient,
     zform_spread_requirement,
     ZForm,
 )
-from .graphs import BRUTE_FORCE_CAP, Graph, exact_balanced_separator, require_balanced_sizes
+from .graphs import Graph, exact_balanced_separator, require_balanced_sizes
 
 SDP_N_CAP = 64
 # core tolerance in Z units: z-space residuals are half the squared-distance
@@ -46,23 +47,13 @@ def cut_z_matrix(g: Graph, members) -> np.ndarray:
     return z
 
 
-def objective_matrix(g: Graph) -> np.ndarray:
-    """Symmetric C with <C, Z> = (1/2) sum_edges z_ij, the linear p = 2
-    objective in Z form; each edge contributes half per mirror entry."""
-    c_mat = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        c_mat[i, j] += 0.25
-        c_mat[j, i] += 0.25
-    return c_mat
-
-
 def warm_start_z(g: Graph, c: float) -> np.ndarray:
-    """Z of the best balanced cut while the exact oracle can run (n <=
-    BRUTE_FORCE_CAP); of the orthonormal embedding (identity Gram) above."""
-    if g.n <= BRUTE_FORCE_CAP:
-        cut, _ = exact_balanced_separator(g, c)
-        return cut_z_matrix(g, cut.members)
-    return 1.0 - np.eye(g.n)
+    """Z of the best balanced cut while the exact oracle can run; of the
+    orthonormal embedding (identity Gram) above its reach."""
+    exact = exact_balanced_separator(g, c)
+    if exact is None:
+        return 1.0 - np.eye(g.n)
+    return cut_z_matrix(g, exact[0].members)
 
 
 def solve_sdp(g: Graph, c: float, *, seed: int = 0):
@@ -77,17 +68,18 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
     params = RelaxationParams(2.0, c)
     if g.n > SDP_N_CAP:
         raise ValueError(f"n={g.n} beyond the desk-scale cap {SDP_N_CAP}")
+    z0 = warm_start_z(g, c)
     result = core.minimize_linear_zform(
-        objective_matrix(g),
+        objective_gradient(g, z0, 2.0),
         2.0,
         zform_spread_requirement(g.n, c),
-        warm_start_z(g, c),
+        z0,
         tol=Z_TOL,
         seed=seed,
     )
     report = SolveReport(
         value=result.value,
-        residuals=check_feasibility_z(result.z, params, Z_TOL, Z_TOL),
+        residuals=check_feasibility(result.z, params, Z_TOL, Z_TOL),
         iterations=result.iterations,
         converged=result.converged,
     )

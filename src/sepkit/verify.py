@@ -27,7 +27,7 @@ from .embeddings import (
     Embedding,
     RelaxationParams,
     ZForm,
-    check_feasibility_z,
+    check_feasibility,
     embedding_from_gram,
     gram_from_embedding,
     gram_from_z,
@@ -122,7 +122,7 @@ def suite_convexity(seed: int = 0) -> SuiteResult:
             lam = float(rng.random())
             mix = lam * z1 + (1.0 - lam) * z2
             # spread and triangles judged at SLACK in Z units, PSD at -SLACK
-            rep = check_feasibility_z(mix, params, SLACK, SLACK)
+            rep = check_feasibility(mix, params, SLACK, SLACK)
             ok = ok and rep.feasible and rep.min_eigenvalue >= -SLACK
             worst_spread = min(worst_spread, rep.spread_slack)
             worst_tri = max(worst_tri, rep.max_triangle_violation)

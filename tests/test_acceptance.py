@@ -25,6 +25,7 @@ from sepkit.embeddings import (
     check_feasibility,
     cut_to_embedding,
     embedding_from_gram,
+    gram_from_embedding,
     objective,
 )
 from sepkit.graphs import Cut, balanced_size_range, cut_size
@@ -95,7 +96,8 @@ def test_criterion_2_cut_embedding_exactness():
         size = cut_size(g, cut)
         for p in P_GRID:
             assert abs(objective(g, e, p) - size) <= 1e-9
-            rep = check_feasibility(e, RelaxationParams(p, C))
+            z = 1.0 - gram_from_embedding(e).matrix  # diagonal kept: unit norms
+            rep = check_feasibility(z, RelaxationParams(p, C), 1e-9, 1e-9)
             assert rep.feasible, (n, members, p, rep)
         checked += 1
     announce(2, "cut-embedding exactness", True, f"[{checked} pairs x {len(P_GRID)} exponents]")

@@ -6,7 +6,7 @@ import pytest
 from sepkit.cli import main
 from sepkit.corpus import cycle_graph, petersen_graph
 from sepkit.embeddings import cut_to_embedding
-from sepkit.graphs import Cut, dump_graph
+from sepkit.graphs import BRUTE_FORCE_CAP, Cut, dump_graph
 from sepkit.records import strip_timestamp
 
 C4_TEXT = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -40,11 +40,17 @@ def test_exact_missing_file_exit_2(tmp_path, capsys):
 
 
 def test_exact_cap_exit_2(tmp_path, capsys):
-    big = tmp_path / "big.txt"
-    big.write_text("25 1\n0 1\n")
-    code = main(["exact", "--graph", str(big), "--c", "0.25"])
-    assert code == 2
-    assert "cap" in capsys.readouterr().err
+    for n in (BRUTE_FORCE_CAP + 1, 25):
+        big = tmp_path / "big.txt"
+        big.write_text(f"{n} 1\n0 1\n")
+        code = main(["exact", "--graph", str(big), "--c", "0.25"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: n={n} exceeds the exact oracle's cap {BRUTE_FORCE_CAP}\n"
+        assert captured.out == ""
+    # above the cap the instance is still checked first
+    assert main(["exact", "--graph", str(big), "--c", "0"]) == 2
+    assert capsys.readouterr().err == "error: c must lie in (0, 1/2], got 0.0\n"
 
 
 def test_solve_rejects_out_of_range_p(c4_file, capsys):
@@ -126,13 +132,24 @@ def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
         ["exact", "--graph", "C4", "--c", "inf"],
         ["solve", "--graph", "C4", "--p", "2", "--c", "nan"],
         ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--delta", "0"],
+        # a stored relaxation value must be a finite, nonnegative number
+        ["pipeline", "--graph", "C4", "--p", "1", "--c", "0.25", "--embedding", "EMB",
+         "--relaxation-value", "nan"],
+        ["pipeline", "--graph", "C4", "--p", "1", "--c", "0.25", "--embedding", "EMB",
+         "--relaxation-value", "-5"],
+        ["pipeline", "--graph", "C4", "--p", "1", "--c", "0.25", "--embedding", "EMB",
+         "--relaxation-value", "inf"],
+        ["gaussian-test", "--d", "4", "--x", "nan", "--samples", "10000"],
     ],
     ids=["pipeline-retries-3", "pipeline-retries0", "solve-p2-starts0", "gaussian-d0",
          "pipeline-value-without-embedding", "exact-c0", "exact-cinf", "solve-cnan",
-         "pipeline-delta0"],
+         "pipeline-delta0", "pipeline-value-nan", "pipeline-value-negative",
+         "pipeline-value-inf", "gaussian-xnan"],
 )
 def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
-    code = main([str(c4_file) if a == "C4" else a for a in argv])
+    emb = c4_file.parent / "emb.json"
+    emb.write_text(cut_to_embedding(cycle_graph(4), Cut({0, 1})).to_json())
+    code = main([{"C4": str(c4_file), "EMB": str(emb)}.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
@@ -320,8 +337,14 @@ def test_convert_dimacs(tmp_path, capsys):
 
 def test_convert_dimacs_rejects_garbage(tmp_path, capsys):
     src = tmp_path / "g.dimacs"
-    src.write_text("p edge 3 1\ne 1 9\n")
-    assert main(["convert-dimacs", "--in", str(src)]) == 2
+    for text, message in [("p edge 3 1\ne 1 9\n", "line 2: vertex id out of range"),
+                          ("p edge x 3\n", "line 1: 'p edge n m' needs integers"),
+                          ("c m\np edge 3 y\n", "line 2: 'p edge n m' needs integers"),
+                          ("p edge 3 1\ne 1 x\n", "line 2: edge endpoints must be integers"),
+                          ("p edge 3 1\ne 1.5 2\n", "line 2: edge endpoints must be integers")]:
+        src.write_text(text)
+        assert main(["convert-dimacs", "--in", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_gaussian_test_record(capsys):

@@ -9,7 +9,6 @@ from sepkit.concave import (
     grid_oracle_n3,
     hessian_f,
     hessian_quadratic_form,
-    objective_gradient,
     solve_concave,
     solve_relaxation,
 )
@@ -18,11 +17,11 @@ from sepkit.embeddings import (
     ZForm,
     cut_to_embedding,
     gram_from_z,
+    objective_gradient,
     objective_z,
     zform_spread_requirement,
 )
 from sepkit.graphs import (
-    BRUTE_FORCE_CAP,
     Cut,
     Graph,
     InfeasibleBalanceError,
@@ -218,9 +217,10 @@ def test_cut_starts_sampled_beyond_enumeration(n):
     for members in picks:
         assert 0 in members
         assert is_c_balanced(g, Cut(members), C)
-    if n <= BRUTE_FORCE_CAP:
-        best, _ = exact_balanced_separator(g, C)
-        assert picks[0] == set(best.members)
+    exact = exact_balanced_separator(g, C)
+    assert (exact is None) == (n == 22)
+    if exact is not None:
+        assert picks[0] == set(exact[0].members)
 
 
 def test_solve_concave_never_above_any_start_value():

@@ -10,17 +10,15 @@ from sepkit.embeddings import (
     Embedding,
     GramForm,
     NotPsdError,
-    TOL_SPREAD,
-    TOL_TRIANGLE,
     RelaxationParams,
     ZForm,
     check_feasibility,
-    check_feasibility_z,
     cut_to_embedding,
     embedding_from_gram,
     gram_from_embedding,
     gram_from_z,
     objective,
+    objective_gradient,
     objective_z,
     z_from_gram,
 )
@@ -28,6 +26,13 @@ from sepkit.graphs import Cut, Graph, brute_force_cut_values
 from sepkit.sdp import cut_z_matrix
 
 P_GRID = (0.5, 1.0, 1.5, 2.0)
+TOL = 1e-8  # triangle and spread tolerance of the embedding checks, in Z units
+
+
+def check_embedding(e, params):
+    """check_feasibility of an embedding's Z = 1 - X, diagonal kept, so the
+    report reads the vector norms."""
+    return check_feasibility(1.0 - gram_from_embedding(e).matrix, params, TOL, TOL)
 
 
 def random_unit_vectors(n, d, seed):
@@ -75,7 +80,7 @@ def test_balanced_cut_embedding_is_feasible():
     g = cycle_graph(8)
     params = RelaxationParams(1.0, 0.25)
     for members, _ in brute_force_cut_values(g, 0.25)[:20]:
-        rep = check_feasibility(cut_to_embedding(g, Cut(members)), params)
+        rep = check_embedding(cut_to_embedding(g, Cut(members)), params)
         assert rep.feasible
         assert rep.spread_slack >= 0.0
 
@@ -83,7 +88,7 @@ def test_balanced_cut_embedding_is_feasible():
 def test_scaled_vectors_unit_violation():
     params = RelaxationParams(1.0, 0.25)
     e = Embedding(0.5 * random_unit_vectors(5, 3, seed=1))
-    rep = check_feasibility(e, params)
+    rep = check_embedding(e, params)
     assert rep.max_unit_violation == pytest.approx(0.5)
     assert not rep.feasible
 
@@ -94,7 +99,7 @@ def test_p1_triangle_never_violated():
     worst = 0.0
     for seed in range(1000):
         e = Embedding(random_unit_vectors(3, 3, seed))
-        rep = check_feasibility(e, params)
+        rep = check_embedding(e, params)
         worst = max(worst, rep.max_triangle_violation)
     assert worst <= 1e-12
 
@@ -110,7 +115,7 @@ def find_p2_violating_triple(seed=0, attempts=2000):
         v = rng.standard_normal((3, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         e = Embedding(v)
-        rep2 = check_feasibility(e, RelaxationParams(2.0, 0.25))
+        rep2 = check_embedding(e, RelaxationParams(2.0, 0.25))
         if rep2.max_triangle_violation > 1e-3:
             return e
     raise AssertionError("no violating triple found")
@@ -118,8 +123,8 @@ def find_p2_violating_triple(seed=0, attempts=2000):
 
 def test_triangle_check_is_exponent_specific():
     e = find_p2_violating_triple()
-    rep_half = check_feasibility(e, RelaxationParams(0.5, 0.25))
-    rep_two = check_feasibility(e, RelaxationParams(2.0, 0.25))
+    rep_half = check_embedding(e, RelaxationParams(0.5, 0.25))
+    rep_two = check_embedding(e, RelaxationParams(2.0, 0.25))
     assert rep_half.max_triangle_violation <= 1e-12
     assert rep_two.max_triangle_violation > 1e-3
 
@@ -138,7 +143,7 @@ def test_triangle_check_is_exact_beyond_64_vertices():
     # squared-distance violation -2 <v0 - v1, v2 - v1>
     s, c = np.sin(np.radians(30.0)), np.cos(np.radians(30.0))
     expected = 2.0 * (s * s - (1.0 - c) ** 2)
-    rep = check_feasibility(Embedding(v), RelaxationParams(2.0, 0.25))
+    rep = check_embedding(Embedding(v), RelaxationParams(2.0, 0.25))
     assert rep.max_triangle_violation == pytest.approx(expected, abs=1e-9)
     assert not rep.feasible
 
@@ -148,13 +153,13 @@ def test_z_report_flags_each_broken_constraint():
     # units (spread slack x2, triangle violation x2^{p/2})
     params = RelaxationParams(1.5, 0.25)
     cut = cut_z_matrix(cycle_graph(4), {0, 1})
-    rep = check_feasibility_z(cut, params, 1e-6, 1e-6)
+    rep = check_feasibility(cut, params, 1e-6, 1e-6)
     assert rep.feasible
     assert rep.spread_slack == pytest.approx(2.0 * (8.0 - 6.0))
 
     # spread: halving the cut Z keeps X = 1 - Z a PSD block of ones and
     # every power triangle, but the pair sum drops from 8 to 4 < 6
-    rep = check_feasibility_z(cut / 2.0, params, 1e-6, 1e-6)
+    rep = check_feasibility(cut / 2.0, params, 1e-6, 1e-6)
     assert not rep.feasible
     assert rep.spread_slack == pytest.approx(2.0 * (4.0 - 6.0))
     assert rep.max_triangle_violation <= 1e-12
@@ -165,7 +170,7 @@ def test_z_report_flags_each_broken_constraint():
     angles = np.radians([0.0, 60.0, 120.0, 180.0])
     v = np.column_stack([np.cos(angles), np.sin(angles)])
     bent = z_from_gram(gram_from_embedding(Embedding(v))).matrix
-    rep = check_feasibility_z(bent, params, 1e-6, 1e-6)
+    rep = check_feasibility(bent, params, 1e-6, 1e-6)
     assert not rep.feasible
     assert rep.max_triangle_violation == pytest.approx(3.0**0.75 - 2.0, abs=1e-12)
     assert rep.spread_slack == pytest.approx(2.0 * (6.5 - 6.0), abs=1e-12)
@@ -174,34 +179,11 @@ def test_z_report_flags_each_broken_constraint():
     # PSD: make all four vertices pairwise antipodal; triangles and spread
     # still hold, but X = 2I - J has the eigenvalue -2
     apart = 2.0 * (1.0 - np.eye(4))
-    rep = check_feasibility_z(apart, params, 1e-6, 1e-6)
+    rep = check_feasibility(apart, params, 1e-6, 1e-6)
     assert not rep.feasible
     assert rep.min_eigenvalue == pytest.approx(-2.0)
     assert rep.max_triangle_violation <= 1e-12
     assert rep.spread_slack == pytest.approx(2.0 * (12.0 - 6.0))
-
-
-@given(
-    st.integers(2, 8),
-    st.integers(1, 8),
-    st.integers(0, 10_000),
-    st.sampled_from(P_GRID),
-    st.sampled_from((0.25, 0.5)),
-)
-@settings(max_examples=100, deadline=None)
-def test_check_feasibility_matches_z_report_of_gram(n, d, seed, p, c):
-    e = Embedding(random_unit_vectors(n, d, seed))
-    params = RelaxationParams(p, c)
-    rep = check_feasibility(e, params)
-    rep_z = check_feasibility_z(
-        z_from_gram(gram_from_embedding(e)).matrix,
-        params,
-        TOL_TRIANGLE / 2.0 ** (p / 2.0),
-        TOL_SPREAD / 2.0,
-    )
-    for field in ("max_unit_violation", "max_triangle_violation", "spread_slack", "min_eigenvalue"):
-        assert abs(getattr(rep, field) - getattr(rep_z, field)) <= 1e-12
-    assert rep.feasible == rep_z.feasible
 
 
 def test_gram_from_embedding_blocks():
@@ -278,6 +260,21 @@ def test_objective_z_rejects_negative_entries():
     z = ZForm(np.array([[0.0, -0.5], [-0.5, 0.0]]))
     with pytest.raises(ValueError):
         objective_z(g, z, 1.0)
+
+
+def test_objective_gradient_at_p2_is_the_linear_objective():
+    # at p = 2 the gradient is the same at every z, 1/4 per mirror entry of
+    # each edge, and <C, Z> is objective_z: the program solve_sdp minimizes
+    g = gnp_graph(8, 0.5, 3)
+    grads = []
+    for seed in range(3):
+        z = z_from_gram(gram_from_embedding(Embedding(random_unit_vectors(8, 4, seed)))).matrix
+        c_mat = objective_gradient(g, z, 2.0)
+        assert np.sum(c_mat * z) == pytest.approx(objective_z(g, ZForm(z), 2.0), abs=1e-12)
+        grads.append(c_mat)
+    assert all(np.array_equal(grads[0], c_mat) for c_mat in grads)
+    assert np.count_nonzero(grads[0]) == 2 * g.m
+    assert set(np.unique(grads[0])) == {0.0, 0.25}
 
 
 @given(st.integers(0, 10_000))

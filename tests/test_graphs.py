@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepkit.graphs import (
-    CapExceededError,
+    BRUTE_FORCE_CAP,
     Cut,
     Graph,
     GraphParseError,
@@ -162,12 +162,12 @@ def test_exact_infeasible_balance():
 
 
 def test_exact_cap():
-    g = Graph(21)
-    with pytest.raises(CapExceededError):
-        exact_balanced_separator(g, 0.25)
-    # cap is adjustable
-    cut, value = exact_balanced_separator(cycle_graph(4), 0.25, cap=4)
-    assert value == 2
+    # beyond its reach the oracle answers None; the instance is still checked
+    g = Graph(BRUTE_FORCE_CAP + 1)
+    assert exact_balanced_separator(g, 0.25) is None
+    with pytest.raises(ValueError, match="c must lie"):
+        exact_balanced_separator(g, 0.0)
+    assert exact_balanced_separator(cycle_graph(BRUTE_FORCE_CAP), 0.25)[1] == 2
 
 
 def test_graph_rejects_bad_edges():

@@ -17,11 +17,12 @@ from sepkit.embeddings import (
     cut_to_embedding,
     embedding_from_gram,
     gram_from_embedding,
+    objective_gradient,
     z_from_gram,
     zform_spread_requirement,
 )
 from sepkit.graphs import Cut, Graph, exact_balanced_separator
-from sepkit.sdp import Z_TOL, objective_matrix, solve_sdp
+from sepkit.sdp import Z_TOL, solve_sdp
 from sepkit import solver_core as core
 
 C = 0.25
@@ -30,9 +31,10 @@ C = 0.25
 def solve_from_orthonormal(g):
     """The p = 2 core run as solve_sdp runs it, but from the orthonormal
     start (identity Gram) that solve_sdp takes only above the oracle cap."""
+    z0 = 1.0 - np.eye(g.n)
     return core.minimize_linear_zform(
-        objective_matrix(g), 2.0, zform_spread_requirement(g.n, C),
-        1.0 - np.eye(g.n), tol=Z_TOL, seed=0,
+        objective_gradient(g, z0, 2.0), 2.0, zform_spread_requirement(g.n, C),
+        z0, tol=Z_TOL, seed=0,
     )
 
 
@@ -86,9 +88,10 @@ def test_sdp_single_edge_n2():
 def test_sdp_returned_gram_is_feasible():
     g = petersen_graph()
     x, report = solve_sdp(g, C, seed=3)
+    # the factored embedding, read back as Z = 1 - X with its diagonal
     e = embedding_from_gram(x)
     rep = check_feasibility(
-        e, RelaxationParams(2.0, C), tol_triangle=1e-6, tol_spread=1e-6
+        1.0 - gram_from_embedding(e).matrix, RelaxationParams(2.0, C), Z_TOL, Z_TOL
     )
     assert rep.feasible
     assert report.residuals.feasible

@@ -5,8 +5,8 @@ from hypothesis.extra.numpy import arrays
 
 from sepkit import solver_core as core
 from sepkit.corpus import cycle_graph
-from sepkit.embeddings import zform_spread_requirement
-from sepkit.sdp import cut_z_matrix, objective_matrix
+from sepkit.embeddings import objective_gradient, zform_spread_requirement
+from sepkit.sdp import cut_z_matrix
 
 
 def test_factor_correlation_unit_rows_full_width():
@@ -54,8 +54,8 @@ def test_scan_agrees_with_max_violation(p, tol, data):
 
 def test_round_cap_marks_result_unconverged():
     g = cycle_graph(8)
-    args = (objective_matrix(g), 2.0, zform_spread_requirement(g.n, 0.25),
-            cut_z_matrix(g, {0, 1, 2, 3}))
+    z0 = cut_z_matrix(g, {0, 1, 2, 3})
+    args = (objective_gradient(g, z0, 2.0), 2.0, zform_spread_requirement(g.n, 0.25), z0)
     capped = core.minimize_linear_zform(*args, max_rounds=2)
     assert capped.rounds == 2
     assert not capped.converged

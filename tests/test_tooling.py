@@ -167,11 +167,10 @@ def test_every_package_name_has_a_caller_outside_tests():
              for folder in ("src", "scripts", "bench")
              for path in sorted((ROOT / folder).rglob("*.py"))}
     refs = {path: list(name_references(tree)) for path, tree in trees.items()}
-    traced = {fn_name for _, fn_name, _ in load_spans().TRACED}
     uncalled = set()
     for path in sorted((ROOT / "src" / "sepkit").glob("*.py")):
         for name, first, last in top_level_definitions(trees[path]):
-            called = name in traced or any(
+            called = any(
                 ref == name and not (where == path and first <= line <= last)
                 for where, found in refs.items() for ref, line in found
             )
