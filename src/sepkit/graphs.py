@@ -126,12 +126,16 @@ def load_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise GraphParseError(f"line {lineno}: second problem line")
             if len(parts) < 4:
                 raise GraphParseError(f"line {lineno}: malformed problem line {raw!r}")
             try:
                 n, _ = int(parts[2]), int(parts[3])
             except ValueError:
                 raise GraphParseError(f"line {lineno}: 'p edge n m' needs integers") from None
+            if n < 1:
+                raise GraphParseError(f"line {lineno}: vertex count must be positive, got {n}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphParseError(f"line {lineno}: edge before problem line")

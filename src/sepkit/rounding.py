@@ -180,10 +180,10 @@ class PipelineOptions:
     starts: int = STARTS  # concave multistart width
 
     def __post_init__(self):
-        if self.delta is not None and not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.delta is not None and not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.retries < 1:
             raise ValueError(f"retries must be >= 1, got {self.retries}")
 

@@ -11,6 +11,11 @@ V with unit rows (X = V V^T), so the only soft constraints are spread and
 the lazily-activated triangles, handled with an augmented Lagrangian.  The
 p = 2 solver and the concave solver's linearized subproblem are both thin
 wrappers around `minimize_linear_zform`.
+
+Each augmented-Lagrangian round is one L-BFGS-B run, which `lbfgs` drives
+through the C routine behind scipy's L-BFGS-B, the private
+`scipy.optimize._lbfgsb.setulb` (its argument list is the one of scipy's C
+port, from scipy 1.15 on).
 """
 
 from __future__ import annotations
@@ -19,13 +24,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize._lbfgsb import setulb
 
 Z_FLOOR = 1e-8  # gradient guard: d(z^{p/2})/dz blows up at z = 0 for p < 2
 JITTER = 1e-4  # factor jitter at the warm start (see factor_correlation)
 INNER_STEPS = 120  # L-BFGS iterations per augmented-Lagrangian round
 MIN_NEW_TRIANGLES = 4  # a round activates up to max(n, this) new triangles
 MAX_EVALS = 50000  # function evaluations per minimize_linear_zform call
+# L-BFGS-B settings: scipy's defaults, with ftol = 1e-14 and gtol = 1e-8
+LBFGS_MEMORY = 10
+LBFGS_FACTR = 1e-14 / np.finfo(float).eps
+LBFGS_PGTOL = 1e-8
+LBFGS_MAXLS = 20
 
 
 class NonconvergedError(RuntimeError):
@@ -207,13 +217,67 @@ def _riemannian(grad, v):
     return grad - inner * v
 
 
-def _al_round(v, c_mat, rhs, p, mu, rho, flat, nu, max_evals):
-    """One inner minimization of the augmented Lagrangian.
+def lbfgs(fun, x0, f0, g0, max_iter):
+    """Minimize fun, which returns (value, gradient), from x0 with unbounded
+    L-BFGS-B; f0 and g0 are fun's value and gradient at x0, already known.
 
-    The unit-row constraint is folded into the objective by normalizing rows
-    inside the function, which makes the problem unconstrained and lets L-BFGS
-    do the line-search work.  Returns (v, evals used, converged flag)."""
-    n, d = v.shape
+    This is scipy's `_minimize_lbfgsb` loop at the LBFGS_* settings, with
+    maxiter = max_iter and maxfun = 4 * max_iter, without the `minimize`
+    wrapper: as in scipy's ScalarFunction, x0 counts as one evaluation and a
+    requested x equal to the last one evaluated reuses its value.  fun must
+    not write to its argument.  Returns (x, f, nfev, status), status being
+    scipy's: 0 converged, 1 iteration or evaluation cap, 2 any other stop."""
+    n = x0.size
+    m = LBFGS_MEMORY
+    max_fun = 4 * max_iter
+    x = np.array(x0, dtype=np.float64)
+    x_seen, f_seen, g_seen = x.copy(), f0, g0
+    f = np.array(0.0)
+    g = np.zeros(n)
+    no_bound = np.zeros(n)
+    nbd = np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    nfev = 1
+    nit = 0
+    while True:
+        # a float64 copy, as in scipy: setulb writes g when a line search
+        # fails, and g_seen must keep fun's gradient
+        g = g.astype(np.float64)
+        setulb(m, x, no_bound, no_bound, nbd, f, g, LBFGS_FACTR, LBFGS_PGTOL,
+               wa, iwa, task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
+        if task[0] == 3:  # FG: wants value and gradient at x
+            if not np.array_equal(x, x_seen):
+                x_seen = x.copy()
+                f_seen, g_seen = fun(x_seen)
+                nfev += 1
+            f, g = f_seen, g_seen
+        elif task[0] == 1:  # NEW_X: an iteration finished
+            nit += 1
+            if nit >= max_iter:
+                task[:] = (5, 504)  # STOP: iteration cap
+            elif nfev > max_fun:
+                task[:] = (5, 502)  # STOP: evaluation cap
+        else:
+            break
+    if task[0] == 4:  # CONVERGENCE
+        status = 0
+    elif nfev > max_fun or nit >= max_iter:
+        status = 1
+    else:
+        status = 2
+    return x, f, nfev, status
+
+
+def _al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d):
+    """The augmented Lagrangian as a function of a flat n x d factor, with
+    the unit-row constraint folded in by normalizing rows inside; returns
+    (value, gradient)."""
 
     def fun(w_flat):
         w = w_flat.reshape(n, d)
@@ -225,17 +289,24 @@ def _al_round(v, c_mat, rhs, p, mu, rho, flat, nu, max_evals):
         grad_w = _riemannian(grad_u, u) / norms
         return val, grad_w.ravel()
 
-    val0 = fun(v.ravel())[0]
-    res = scipy_minimize(
-        fun,
-        v.ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_evals, "maxfun": 4 * max_evals, "ftol": 1e-14, "gtol": 1e-8},
-    )
-    v_new = normalize_rows(res.x.reshape(n, d))
-    converged = bool(res.status == 0) or (val0 - res.fun <= 1e-11 * (1.0 + abs(res.fun)))
-    return v_new, int(res.nfev), converged
+    return fun
+
+
+def _al_round(v, c_mat, rhs, p, mu, rho, flat, nu, max_evals):
+    """One inner minimization of the augmented Lagrangian.
+
+    Folding the unit-row constraint into the objective makes the problem
+    unconstrained, and `lbfgs` does the line-search work with max_evals
+    iterations, starting from the evaluation at v that also decides
+    convergence.  Returns (v, evals used, converged flag)."""
+    n, d = v.shape
+    fun = _al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d)
+    x0 = v.ravel()
+    val0, grad0 = fun(x0)
+    x, val, nfev, status = lbfgs(fun, x0, val0, grad0, max_evals)
+    v_new = normalize_rows(x.reshape(n, d))
+    converged = status == 0 or (val0 - val <= 1e-11 * (1.0 + abs(val)))
+    return v_new, nfev, converged
 
 
 def minimize_linear_zform(

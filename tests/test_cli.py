@@ -132,6 +132,10 @@ def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
         ["exact", "--graph", "C4", "--c", "inf"],
         ["solve", "--graph", "C4", "--p", "2", "--c", "nan"],
         ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--delta", "0"],
+        # an infinite delta or sigma would fail every attempt and write
+        # Infinity, which is not JSON
+        ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--delta", "inf"],
+        ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--sigma", "inf"],
         # a stored relaxation value must be a finite, nonnegative number
         ["pipeline", "--graph", "C4", "--p", "1", "--c", "0.25", "--embedding", "EMB",
          "--relaxation-value", "nan"],
@@ -143,8 +147,8 @@ def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
     ],
     ids=["pipeline-retries-3", "pipeline-retries0", "solve-p2-starts0", "gaussian-d0",
          "pipeline-value-without-embedding", "exact-c0", "exact-cinf", "solve-cnan",
-         "pipeline-delta0", "pipeline-value-nan", "pipeline-value-negative",
-         "pipeline-value-inf", "gaussian-xnan"],
+         "pipeline-delta0", "pipeline-delta-inf", "pipeline-sigma-inf", "pipeline-value-nan",
+         "pipeline-value-negative", "pipeline-value-inf", "gaussian-xnan"],
 )
 def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
     emb = c4_file.parent / "emb.json"

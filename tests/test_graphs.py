@@ -14,6 +14,7 @@ from sepkit.graphs import (
     cut_size,
     exact_balanced_separator,
     is_c_balanced,
+    load_dimacs,
     load_graph,
     subset_cut_table,
 )
@@ -55,6 +56,22 @@ def test_load_malformed_line():
 def test_load_missing_header():
     with pytest.raises(GraphParseError):
         load_graph("# nothing\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a second problem line neither shrinks n under an earlier edge ...
+        ("p edge 5 1\ne 4 5\np edge 3 0", "line 3: second problem line"),
+        # ... nor silently adds vertices
+        ("p edge 3 1\ne 1 2\np edge 5 0", "line 3: second problem line"),
+        ("c empty\np edge 0 0", "line 2: vertex count must be positive, got 0"),
+    ],
+    ids=("second-p-smaller", "second-p-larger", "zero-vertices"),
+)
+def test_load_dimacs_problem_line_errors_name_the_line(text, message):
+    with pytest.raises(GraphParseError, match=f"^{message}$"):
+        load_dimacs(text)
 
 
 def test_cut_size_examples():

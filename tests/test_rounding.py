@@ -81,7 +81,8 @@ def test_set_find_requires_explicit_thresholds():
         with pytest.raises(TypeError):
             modified_set_find(ANTIPODAL, ANTIPODAL_DIST, rng, **kwargs)
     # the pipeline's settings are checked where they enter
-    for field, bad in (("delta", 0.0), ("delta", math.nan), ("sigma", -1.0), ("sigma", math.nan)):
+    for field, bad in (("delta", 0.0), ("delta", math.nan), ("delta", math.inf),
+                       ("sigma", -1.0), ("sigma", math.nan), ("sigma", math.inf)):
         with pytest.raises(ValueError, match=f"{field} must be positive"):
             PipelineOptions(**{field: bad})
 

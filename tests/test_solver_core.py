@@ -1,7 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import minimize
 
 from sepkit import solver_core as core
 from sepkit.corpus import cycle_graph
@@ -147,3 +150,86 @@ def test_cached_masks_are_read_only():
         core._strict_upper(5)[0, 1] = False
     with pytest.raises(ValueError):
         core._off_diagonal(5)[0, 0] = 1.0
+
+
+def counted(fun):
+    """fun, with a count of its calls in `.calls`."""
+
+    def wrapped(x):
+        wrapped.calls += 1
+        return fun(x)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def assert_matches_scipy_lbfgsb(fun, x0, budget):
+    """`core.lbfgs` against `scipy.optimize.minimize(method="L-BFGS-B")` at
+    the options it reproduces, each with the start evaluated separately as
+    `_al_round` does: the same x bits, value, evaluation count and status,
+    and one call fewer for `lbfgs`."""
+    f = counted(fun)
+    f0, g0 = f(x0)
+    x, val, nfev, status = core.lbfgs(f, x0, f0, g0, budget)
+    ours = f.calls
+    f.calls = 0
+    f(x0)
+    res = minimize(
+        f,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": budget, "maxfun": 4 * budget, "ftol": 1e-14, "gtol": 1e-8},
+    )
+    assert x.tobytes() == res.x.tobytes()
+    assert val == res.fun
+    assert (nfev, status) == (res.nfev, res.status)
+    assert (ours, f.calls) == (nfev, nfev + 1)
+    return status
+
+
+@pytest.mark.parametrize("p", (0.5, 1.0, 1.5, 2.0))
+@pytest.mark.parametrize("with_triangles", (False, True), ids=("spread", "triangles"))
+def test_lbfgs_loop_matches_scipy_minimize(p, with_triangles):
+    # budgets 1-3 stop at the iteration cap (status 1); 120 converges
+    statuses = set()
+    for n in range(3, 13):
+        rng = np.random.default_rng([n, int(4 * p), with_triangles])
+        c_mat = core.symmetrize(rng.standard_normal((n, n)))
+        z = core.symmetrize(core._off_diagonal(n) * rng.uniform(0.2, 1.5, (n, n)))
+        # n distinct active triples (i, j, k), i < k, with multipliers large
+        # enough that their terms act at the start
+        triples = [t for t in permutations(range(n), 3) if t[0] < t[2]]
+        picked = rng.choice(len(triples), size=n if with_triangles else 0, replace=False)
+        tri = np.array([triples[t] for t in picked], dtype=np.int64).reshape(-1, 3)
+        flat = core.triangle_flat_indices(tri, n)
+        nu = rng.uniform(1.0, 3.0, len(tri))
+        v = core.factor_correlation(1.0 - 0.5 * z, rng)
+        rhs = 0.6 * n * (n - 1) / 2.0
+        rho = 2.0
+        if with_triangles:
+            h, _ = core._triangle_terms(core.z_of_factor(v), flat, p)
+            assert np.any(nu + rho * h > 0.0)
+        fun = core._al_objective(c_mat, rhs, p, 0.3, rho, flat, nu, n, n)
+        for budget in (1, 2, 3, 120):
+            statuses.add(assert_matches_scipy_lbfgsb(fun, v.ravel(), budget))
+    assert statuses == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "fun, budget, status",
+    [
+        # an ascent "gradient" ends in ABNORMAL: status 2, or 1 once past maxfun
+        (lambda x: (float(x @ x), -2.0 * x), 10, 2),
+        (lambda x: (float(x @ x), -2.0 * x), 2, 1),
+        # unbounded below: the evaluation cap (task 502) stops it, and at
+        # budget 5 an iteration ends with exactly maxfun = 20 evaluations
+        (lambda x: (float(x.sum()), np.ones_like(x)), 5, 1),
+        # a gradient 1000x too large: line searches use all maxls = 20 steps
+        (lambda x: (float(np.exp(x).sum()), 1e3 * np.exp(x)), 10, 1),
+        (lambda x: (1.0, np.zeros_like(x)), 5, 0),
+    ],
+    ids=("abnormal", "abnormal-past-maxfun", "evaluation-cap", "line-search-steps", "flat"),
+)
+def test_lbfgs_loop_matches_scipy_minimize_at_every_stop(fun, budget, status):
+    assert assert_matches_scipy_lbfgsb(fun, np.linspace(-1.0, 1.0, 6), budget) == status
