@@ -78,9 +78,12 @@ def normalize_rows(v):
 
 
 def z_of_factor(v):
-    x = v @ v.T
-    z = 1.0 - symmetrize(x)
-    np.fill_diagonal(z, 0.0)
+    """Z = 1 - V V^T with a zero diagonal, for a C-contiguous factor v.
+    numpy runs v @ v.T as BLAS syrk, which computes one triangle and mirrors
+    it, so Z is exactly symmetric as it stands."""
+    n = v.shape[0]
+    z = 1.0 - v @ v.T
+    z.ravel()[:: n + 1] = 0.0
     return z
 
 
@@ -93,17 +96,10 @@ def _strict_upper(n):
     return mask
 
 
-@lru_cache(maxsize=32)
-def _off_diagonal(n):
-    """Read-only J - I, built once per n."""
-    ones = 1.0 - np.eye(n)
-    ones.flags.writeable = False
-    return ones
-
-
 def spread_sum(z):
     """sum_{i<j} z_ij; the same sum, in the same order, as np.triu(z, k=1)."""
-    return float(np.sum(np.where(_strict_upper(z.shape[0]), z, 0.0)))
+    mask = _strict_upper(z.shape[0]).ravel()
+    return float(np.add.reduce(np.where(mask, z.ravel(), 0.0)))
 
 
 def power_matrix(z, p):
@@ -177,44 +173,12 @@ def _triangle_terms(z, flat, p):
     """Constraint values h_t of the active triples and, as a 3 x T block, the
     z-derivatives of w at their (i, k), (i, j) and (j, k) pairs."""
     half = p / 2.0
-    g = z.ravel()[flat].reshape(3, -1)
+    g = z.take(flat).reshape(3, -1)
     if half == 1.0:
         return g[0] - g[1] - g[2], 1.0
     w = np.maximum(g, 0.0) ** half
     h = w[0] - w[1] - w[2]
     return h, half * np.maximum(g, Z_FLOOR) ** (half - 1.0)
-
-
-def _al_eval(v, c_mat, rhs, p, mu, rho, flat, nu):
-    """Augmented-Lagrangian value and V-gradient at factor v; flat holds the
-    active triples as `triangle_flat_indices` gives them."""
-    n = v.shape[0]
-    z = z_of_factor(v)
-    val = float(np.vdot(c_mat, z))
-    s = spread_sum(z) - rhs
-    # inequality s >= 0 with multiplier mu
-    act_s = max(0.0, mu - rho * s)
-    val += (act_s * act_s - mu * mu) / (2.0 * rho)
-    m = c_mat
-    if act_s != 0.0:
-        m = m + (-act_s) * 0.5 * _off_diagonal(n)
-    if len(flat):
-        h, d = _triangle_terms(z, flat, p)
-        coef = np.maximum(0.0, nu + rho * h)
-        val += float(np.sum(coef * coef - nu * nu)) / (2.0 * rho)
-        if np.any(coef != 0.0):
-            # one scatter, adding each block in turn from 0.0
-            weights = (_BLOCK_SIGNS * coef * d).ravel()
-            add = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
-            m = m + add + add.T
-    # Z = 1 - V V^T, so dF/dV = -2 * (dF/dZ) V
-    return val, -2.0 * (m @ v)
-
-
-def _riemannian(grad, v):
-    """Project the ambient gradient onto the unit-row (oblique) tangent space."""
-    inner = np.sum(grad * v, axis=1, keepdims=True)
-    return grad - inner * v
 
 
 def lbfgs(fun, x0, f0, g0, max_iter):
@@ -252,7 +216,7 @@ def lbfgs(fun, x0, f0, g0, max_iter):
         setulb(m, x, no_bound, no_bound, nbd, f, g, LBFGS_FACTR, LBFGS_PGTOL,
                wa, iwa, task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
         if task[0] == 3:  # FG: wants value and gradient at x
-            if not np.array_equal(x, x_seen):
+            if not (x == x_seen).all():
                 x_seen = x.copy()
                 f_seen, g_seen = fun(x_seen)
                 nfev += 1
@@ -275,9 +239,16 @@ def lbfgs(fun, x0, f0, g0, max_iter):
 
 
 def _al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d):
-    """The augmented Lagrangian as a function of a flat n x d factor, with
+    """The augmented Lagrangian as a function of a flat n x d factor w, with
     the unit-row constraint folded in by normalizing rows inside; returns
-    (value, gradient)."""
+    (value, gradient).  flat holds the active triples as
+    `triangle_flat_indices` gives them.  What stays fixed for the round is
+    built here, once, so each evaluation is one pass over the formula."""
+    diag = slice(None, None, n + 1)
+    c_diag = c_mat.diagonal()
+    mu_sq = mu * mu
+    nu_sq = nu * nu
+    two_rho = 2.0 * rho
 
     def fun(w_flat):
         w = w_flat.reshape(n, d)
@@ -285,9 +256,33 @@ def _al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d):
         norms = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
         norms[norms == 0.0] = 1.0
         u = w / norms
-        val, grad_u = _al_eval(u, c_mat, rhs, p, mu, rho, flat, nu)
-        grad_w = _riemannian(grad_u, u) / norms
-        return val, grad_w.ravel()
+        z = z_of_factor(u)
+        val = float(np.vdot(c_mat, z))
+        s = spread_sum(z) - rhs
+        # inequality s >= 0 with multiplier mu
+        act_s = max(0.0, mu - rho * s)
+        val += (act_s * act_s - mu_sq) / two_rho
+        m = c_mat  # dF/dZ
+        if act_s != 0.0:
+            # C - act_s (J - I) / 2; c_mat comes from `symmetrize`, so m is
+            # C-contiguous and m.ravel() is a view
+            m = c_mat - act_s * 0.5
+            m.ravel()[diag] = c_diag
+        if len(flat):
+            h, dw = _triangle_terms(z, flat, p)
+            coef = np.maximum(0.0, nu + rho * h)
+            val += float(np.add.reduce(coef * coef - nu_sq)) / two_rho
+            if coef.any():
+                # one scatter, adding each block in turn from 0.0
+                weights = (_BLOCK_SIGNS * coef * dw).ravel()
+                add = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+                m = m + add + add.T
+        # Z = 1 - U U^T, so dF/dU = -2 (dF/dZ) U; project that onto the
+        # unit-row tangent space and carry it back through the normalization
+        g = -2.0 * (m @ u)
+        g -= np.add.reduce(g * u, axis=1, keepdims=True) * u
+        g /= norms
+        return val, g.ravel()
 
     return fun
 
@@ -343,7 +338,7 @@ def minimize_linear_zform(
     # Start strictly inside: exact cut matrices are antipodal configurations,
     # which are critical points of any linear objective on the sphere manifold;
     # blending toward the orthonormal pattern breaks the saddle.
-    z_start = 0.7 * z0 + 0.3 * _off_diagonal(n)
+    z_start = 0.7 * z0 + 0.3 * (1.0 - np.eye(n))
     v = factor_correlation(1.0 - z_start, rng)
     mu = 0.0
     # active triples, kept across rounds: their flat indices into Z (see

@@ -89,7 +89,7 @@ SHARED_TRIPLES = ((0, 1, 2), (0, 3, 2), (0, 1, 4), (1, 4, 2), (2, 3, 5), (0, 2, 
 
 
 def al_value_reference(z, c_mat, rhs, p, mu, rho, tri, nu):
-    """The augmented Lagrangian of `_al_eval`, one term at a time."""
+    """The augmented Lagrangian at Z, one term at a time."""
     n = z.shape[0]
     val = float(np.vdot(c_mat, z))
     s = sum(z[a, b] for a in range(n) for b in range(a + 1, n)) - rhs
@@ -103,10 +103,13 @@ def al_value_reference(z, c_mat, rhs, p, mu, rho, tri, nu):
 
 
 @pytest.mark.parametrize("p", (0.5, 1.5, 2.0))
-def test_al_eval_gradient_matches_finite_differences(p):
+@pytest.mark.parametrize("d", (7, 5), ids=("d=n", "d=n-2"))
+def test_al_objective_gradient_matches_finite_differences(p, d):
+    # the gradient in w covers the row normalization and the tangent
+    # projection as well as the augmented Lagrangian itself
     n = 7
     rng = np.random.default_rng(3)
-    v = core.normalize_rows(rng.standard_normal((n, n)))
+    w = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, (n, 1))
     c_mat = core.symmetrize(rng.standard_normal((n, n)))
     np.fill_diagonal(c_mat, 0.0)
     tri = np.array(SHARED_TRIPLES)
@@ -114,24 +117,128 @@ def test_al_eval_gradient_matches_finite_differences(p):
     nu = np.linspace(10.0, 12.0, len(tri))
     mu, rho = 0.5, 2.0
     rhs = 40.0  # above any spread of 7 unit vectors, so the spread term acts
-    z = core.z_of_factor(v)
+    z = core.z_of_factor(core.normalize_rows(w))
     assert mu - rho * (core.spread_sum(z) - rhs) > 0.0
     h, _ = core._triangle_terms(z, flat, p)
     assert np.all(nu + rho * h > 0.0)  # every triangle term acts
+    fun = core._al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d)
 
-    def value(w):
-        return core._al_eval(w, c_mat, rhs, p, mu, rho, flat, nu)[0]
+    def value(x):
+        return fun(x.ravel())[0]
 
-    val, grad = core._al_eval(v, c_mat, rhs, p, mu, rho, flat, nu)
+    val, grad = fun(w.ravel())
     reference = al_value_reference(z, c_mat, rhs, p, mu, rho, tri, nu)
     assert val == pytest.approx(reference, rel=1e-12)
     eps = 1e-6
-    fd = np.zeros_like(v)
-    for idx in np.ndindex(*v.shape):
-        step = np.zeros_like(v)
+    fd = np.zeros_like(w)
+    for idx in np.ndindex(*w.shape):
+        step = np.zeros_like(w)
         step[idx] = eps
-        fd[idx] = (value(v + step) - value(v - step)) / (2.0 * eps)
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+        fd[idx] = (value(w + step) - value(w - step)) / (2.0 * eps)
+    np.testing.assert_allclose(
+        grad.reshape(n, d), fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max()
+    )
+
+
+def al_objective_unfused(c_mat, rhs, p, mu, rho, flat, nu, n, d):
+    """The augmented-Lagrangian objective as three steps once computed it:
+    normalize the rows of w, take the value and ambient gradient at the
+    unit-row factor, then project onto the tangent space and divide by the
+    row norms."""
+
+    def fun(w_flat):
+        w = w_flat.reshape(n, d)
+        norms = np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
+        norms[norms == 0.0] = 1.0
+        v = w / norms
+        x = v @ v.T
+        z = 1.0 - (x + x.T) / 2.0
+        np.fill_diagonal(z, 0.0)
+        val = float(np.vdot(c_mat, z))
+        s = float(np.sum(np.triu(z, k=1))) - rhs
+        act_s = max(0.0, mu - rho * s)
+        val += (act_s * act_s - mu * mu) / (2.0 * rho)
+        m = c_mat
+        if act_s != 0.0:
+            m = m + (-act_s) * 0.5 * (1.0 - np.eye(n))
+        if len(flat):
+            half = p / 2.0
+            g = z.ravel()[flat].reshape(3, -1)
+            if half == 1.0:
+                h, dw = g[0] - g[1] - g[2], 1.0
+            else:
+                pw = np.maximum(g, 0.0) ** half
+                h = pw[0] - pw[1] - pw[2]
+                dw = half * np.maximum(g, core.Z_FLOOR) ** (half - 1.0)
+            coef = np.maximum(0.0, nu + rho * h)
+            val += float(np.sum(coef * coef - nu * nu)) / (2.0 * rho)
+            if np.any(coef != 0.0):
+                signs = np.array([[0.5], [-0.5], [-0.5]])
+                weights = (signs * coef * dw).ravel()
+                add = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+                m = m + add + add.T
+        grad = -2.0 * (m @ v)
+        inner = np.sum(grad * v, axis=1, keepdims=True)
+        return val, ((grad - inner * v) / norms).ravel()
+
+    return fun
+
+
+@pytest.mark.parametrize("p", (0.5, 1.0, 1.5, 2.0))
+@pytest.mark.parametrize("spread_acts", (False, True), ids=("spread-idle", "spread-acts"))
+@pytest.mark.parametrize("triangles", ("none", "acting", "idle"))
+def test_al_objective_is_bit_identical_to_the_unfused_steps(p, spread_acts, triangles):
+    for n in list(range(3, 13)) + [24, 64]:
+        for d in (n, n - 2):
+            rng = np.random.default_rng([n, d, int(4 * p), spread_acts, len(triangles)])
+            c_mat = core.symmetrize(rng.standard_normal((n, n)))
+            w = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, (n, 1))
+            w[0] = 0.0  # a zero row keeps its norm at 1
+            z = core.z_of_factor(core.normalize_rows(w))
+            mu, rho = 0.7, 2.0
+            rhs = n * n if spread_acts else 0.0
+            triples = np.array(
+                [t for t in permutations(range(n), 3) if t[0] < t[2]], dtype=np.int64
+            )
+            if triangles == "idle":
+                # triples whose constraint holds strictly, with zero
+                # multipliers: every term is max(0, rho h) = 0
+                h, _ = core._triangle_terms(z, core.triangle_flat_indices(triples, n), p)
+                triples = triples[h < 0.0]
+                assert len(triples)
+            size = 0 if triangles == "none" else min(n, len(triples))
+            picked = rng.choice(len(triples), size=size, replace=False)
+            tri = triples[picked].reshape(-1, 3)
+            flat = core.triangle_flat_indices(tri, n)
+            nu = rng.uniform(0.0, 10.0, len(tri)) if triangles == "acting" else np.zeros(len(tri))
+            if triangles != "none":
+                h, _ = core._triangle_terms(z, flat, p)
+                assert np.any(nu + rho * h > 0.0) == (triangles == "acting")
+            assert (mu - rho * (core.spread_sum(z) - rhs) > 0.0) == spread_acts
+            args = (c_mat, rhs, p, mu, rho, flat, nu, n, d)
+            fused = core._al_objective(*args)
+            unfused = al_objective_unfused(*args)
+            for x in (w, rng.standard_normal((n, d))):
+                val, grad = fused(x.ravel())
+                ref_val, ref_grad = unfused(x.ravel())
+                assert val == ref_val
+                assert grad.tobytes() == ref_grad.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_factor_gram_is_bit_symmetric(data, seed):
+    # z_of_factor skips symmetrizing U U^T: numpy computes it with BLAS syrk,
+    # which mirrors one triangle, for any C-contiguous factor with unit rows
+    n = data.draw(st.integers(1, 70))
+    d = data.draw(st.integers(1, n))
+    u = core.normalize_rows(np.random.default_rng(seed).standard_normal((n, d)))
+    assert u.flags.c_contiguous
+    x = u @ u.T
+    assert x.tobytes() == np.ascontiguousarray(x.T).tobytes()
+    z = 1.0 - core.symmetrize(x)
+    np.fill_diagonal(z, 0.0)
+    assert core.z_of_factor(u).tobytes() == z.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,8 +255,6 @@ def test_spread_sum_is_the_strict_upper_triangle_sum(n, seed):
 def test_cached_masks_are_read_only():
     with pytest.raises(ValueError):
         core._strict_upper(5)[0, 1] = False
-    with pytest.raises(ValueError):
-        core._off_diagonal(5)[0, 0] = 1.0
 
 
 def counted(fun):
@@ -196,7 +301,7 @@ def test_lbfgs_loop_matches_scipy_minimize(p, with_triangles):
     for n in range(3, 13):
         rng = np.random.default_rng([n, int(4 * p), with_triangles])
         c_mat = core.symmetrize(rng.standard_normal((n, n)))
-        z = core.symmetrize(core._off_diagonal(n) * rng.uniform(0.2, 1.5, (n, n)))
+        z = core.symmetrize((1.0 - np.eye(n)) * rng.uniform(0.2, 1.5, (n, n)))
         # n distinct active triples (i, j, k), i < k, with multipliers large
         # enough that their terms act at the start
         triples = [t for t in permutations(range(n), 3) if t[0] < t[2]]
