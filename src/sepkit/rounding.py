@@ -39,7 +39,18 @@ def delta_target(n: int, p: float) -> float:
 
 def random_unit_vector(d: int, rng) -> np.ndarray:
     u = rng.standard_normal(d)
-    return u / np.linalg.norm(u)
+    return u / math.sqrt(u.dot(u))  # np.linalg.norm's own 1-D formula
+
+
+def projection_median(proj: np.ndarray) -> float:
+    """np.median of a 1-D array, bit for bit, read from one sort: the middle
+    entry for odd n, (a + b) / 2.0 of the middle two for even n (np.median's
+    mean of them), NaN when any entry is NaN (NaN sorts last)."""
+    ranked = np.sort(proj)
+    h = len(ranked) // 2
+    if math.isnan(ranked[-1]):
+        return math.nan
+    return float(ranked[h]) if len(ranked) % 2 else float((ranked[h - 1] + ranked[h]) / 2.0)
 
 
 def modified_set_find(
@@ -65,10 +76,10 @@ def modified_set_find(
     n, d = e.n, e.d
     u = np.asarray(direction, dtype=float) if direction is not None else random_unit_vector(d, rng)
     proj = e.vectors @ u
-    med = float(np.median(proj))
+    med = projection_median(proj)
     margin = sigma / (2.0 * math.sqrt(d))
-    s_prime = [i for i in range(n) if proj[i] >= med + margin]
-    t_prime = [i for i in range(n) if proj[i] <= med - margin]
+    s_prime = (proj >= med + margin).nonzero()[0].tolist()
+    t_prime = (proj <= med - margin).nonzero()[0].tolist()
     threshold = 2.0 * c_prime * n
     if len(s_prime) <= threshold or len(t_prime) <= threshold:
         return SetFindResult(
@@ -205,12 +216,12 @@ def pipeline(
     and report the produced cut against the relaxation and the exact optimum.
 
     A precomputed embedding skips the solve; that is how the CLI chains a
-    stored solver artifact into the rounding stage.  It must have one vector
-    per vertex of g.  The relaxation value then defaults to the embedding's
-    own objective at exponent p; a value without an embedding is rejected,
-    since the solve would replace it, and so is one that is negative, NaN
-    or infinite.  c, balance and p are checked before any work, as the
-    solvers check them.
+    stored solver artifact into the rounding stage.  It must have one finite
+    vector per vertex of g.  The relaxation value then defaults to the
+    embedding's own objective at exponent p; a value without an embedding is
+    rejected, since the solve would replace it, and so is one that is
+    negative, NaN or infinite.  c, balance and p are checked before any work,
+    as the solvers check them.
     """
     require_balanced_sizes(g.n, c)
     RelaxationParams(p, c)
@@ -218,6 +229,8 @@ def pipeline(
         raise ValueError("a relaxation value needs the embedding it was solved for")
     if embedding is not None and embedding.n != g.n:
         raise ValueError(f"embedding has {embedding.n} vectors, graph has {g.n} vertices")
+    if embedding is not None and not np.isfinite(embedding.vectors).all():
+        raise ValueError("embedding vectors must all be finite")
     if relaxation_value is not None and not 0.0 <= relaxation_value < math.inf:
         raise ValueError(f"relaxation value must be finite and >= 0, got {relaxation_value}")
     delta = opts.delta if opts.delta is not None else delta_target(g.n, p)

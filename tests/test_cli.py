@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from sepkit import cli
 from sepkit.cli import main
 from sepkit.corpus import cycle_graph, petersen_graph
-from sepkit.embeddings import cut_to_embedding
+from sepkit.embeddings import Embedding, cut_to_embedding
 from sepkit.graphs import BRUTE_FORCE_CAP, Cut, dump_graph
 from sepkit.records import strip_timestamp
 
@@ -144,16 +145,25 @@ def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
         ["pipeline", "--graph", "C4", "--p", "1", "--c", "0.25", "--embedding", "EMB",
          "--relaxation-value", "inf"],
         ["gaussian-test", "--d", "4", "--x", "nan", "--samples", "10000"],
+        # a NaN coordinate would fail every attempt and write a NaN value
+        ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--embedding", "EMB_NAN"],
     ],
     ids=["pipeline-retries-3", "pipeline-retries0", "solve-p2-starts0", "gaussian-d0",
          "pipeline-value-without-embedding", "exact-c0", "exact-cinf", "solve-cnan",
          "pipeline-delta0", "pipeline-delta-inf", "pipeline-sigma-inf", "pipeline-value-nan",
-         "pipeline-value-negative", "pipeline-value-inf", "gaussian-xnan"],
+         "pipeline-value-negative", "pipeline-value-inf", "gaussian-xnan",
+         "pipeline-embedding-nan"],
 )
 def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
-    emb = c4_file.parent / "emb.json"
-    emb.write_text(cut_to_embedding(cycle_graph(4), Cut({0, 1})).to_json())
-    code = main([{"C4": str(c4_file), "EMB": str(emb)}.get(a, a) for a in argv])
+    emb = cut_to_embedding(cycle_graph(4), Cut({0, 1}))
+    emb_path = c4_file.parent / "emb.json"
+    emb_path.write_text(emb.to_json())
+    vectors = emb.vectors.copy()
+    vectors[2, 0] = np.nan
+    nan_path = c4_file.parent / "emb_nan.json"
+    nan_path.write_text(Embedding(vectors).to_json())
+    paths = {"C4": str(c4_file), "EMB": str(emb_path), "EMB_NAN": str(nan_path)}
+    code = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
@@ -216,6 +226,29 @@ def test_pipeline_record_and_determinism(c4_file, capsys):
     assert strip_timestamp(rec1) == strip_timestamp(rec2)
     assert rec1["results"]["succeeded"]
     assert rec1["results"]["cut_size"] >= 2
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_calls_apart(c4_file, tmp_path, capsys):
+    base = ["pipeline", "--graph", str(c4_file), "--p", "2", "--c", "0.25"]
+    _, first = run_json(capsys, base + ["--seed", "3", "--retries", "5"])
+    _, second = run_json(capsys, base)
+    assert (first["config"]["seed"], first["config"]["retries"]) == (3, 5)
+    # no value of the first call stays behind as a default
+    assert (second["config"]["seed"], second["config"]["retries"]) == (0, 64)
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--batch", str(tmp_path), "--p", "2", "--c", "0.25",
+              "--embedding", "emb.json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # after a usage error the parser still parses, and the same argv gives
+    # the same record
+    code, again = run_json(capsys, base + ["--seed", "3", "--retries", "5"])
+    assert code == 0
+    assert strip_timestamp(again) == strip_timestamp(first)
 
 
 def test_pipeline_needs_graph_or_batch(c4_file, tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepkit.corpus import cycle_graph, gnp_graph
 from sepkit.embeddings import Embedding, cut_to_embedding
@@ -9,6 +10,7 @@ from sepkit.graphs import Cut, Graph, InfeasibleBalanceError
 from sepkit.rounding import (
     PipelineOptions,
     RoundingError,
+    SetFindResult,
     attempt_rng,
     check_separated,
     delta_target,
@@ -16,6 +18,8 @@ from sepkit.rounding import (
     modified_set_find,
     pipeline,
     produce_cut,
+    projection_median,
+    random_unit_vector,
 )
 
 ANTIPODAL = Embedding(np.array([[1.0]] * 4 + [[-1.0]] * 4))
@@ -106,6 +110,112 @@ def test_set_find_success_is_separated():
     assert successes > 0
 
 
+def reference_set_find(e, dist, rng, *, delta, c_prime, sigma=1.0, direction=None):
+    """modified_set_find as written with np.median, per-index comprehensions
+    and np.linalg.norm: the reference its results must match bit for bit."""
+    n, d = e.n, e.d
+    if direction is not None:
+        u = np.asarray(direction, dtype=float)
+    else:
+        u = rng.standard_normal(d)
+        u = u / np.linalg.norm(u)
+    proj = e.vectors @ u
+    med = float(np.median(proj))
+    margin = sigma / (2.0 * math.sqrt(d))
+    s_prime = [i for i in range(n) if proj[i] >= med + margin]
+    t_prime = [i for i in range(n) if proj[i] <= med - margin]
+    threshold = 2.0 * c_prime * n
+    if len(s_prime) <= threshold or len(t_prime) <= threshold:
+        return SetFindResult(False, tuple(s_prime), tuple(t_prime), True, ())
+    alive_s = dict.fromkeys(s_prime, True)
+    alive_t = dict.fromkeys(t_prime, True)
+    deleted = []
+    for i in s_prime:
+        for j in t_prime:
+            if alive_t[j] and dist[i, j] <= delta:
+                alive_s[i] = alive_t[j] = False
+                deleted.append((i, j))
+                break
+    s_side = tuple(i for i in s_prime if alive_s[i])
+    t_side = tuple(j for j in t_prime if alive_t[j])
+    success = len(s_side) >= c_prime * n and len(t_side) >= c_prime * n
+    return SetFindResult(success, s_side, t_side, False, tuple(deleted))
+
+
+@st.composite
+def set_find_cases(draw):
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["random", "rounded", "clusters", "nan-row"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = gen.standard_normal((n, d))
+    if kind == "rounded":  # tied projections, on the margins too
+        v = np.round(v)
+    elif kind == "clusters":
+        k = draw(st.integers(0, n))
+        centre = gen.standard_normal(d)
+        v = 0.05 * v + np.where(np.arange(n)[:, None] < k, centre, -centre)
+    elif kind == "nan-row":
+        v[draw(st.integers(0, n - 1))] = np.nan
+    direction = None
+    if draw(st.booleans()):
+        direction = gen.standard_normal(d)
+        if kind == "rounded":
+            direction = np.round(direction)
+    params = {
+        "delta": draw(st.sampled_from([0.05, 0.5, 1.0, 2.0, 4.0])),
+        "c_prime": draw(st.sampled_from([1 / 16, 1 / 8, 1 / 4])),
+        "sigma": draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])),
+    }
+    p = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return Embedding(v), p, direction, params, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(set_find_cases())
+def test_set_find_matches_np_median_reference_bit_for_bit(case):
+    e, p, direction, params, seed = case
+    dist = e.distance_matrix() ** p
+    got = modified_set_find(e, dist, np.random.default_rng(seed), direction=direction, **params)
+    want = reference_set_find(e, dist, np.random.default_rng(seed), direction=direction, **params)
+    assert got == want
+    indices = got.s_side + got.t_side + sum(got.deleted_pairs, ())
+    assert all(type(i) is int for i in indices)
+    u = random_unit_vector(e.d, np.random.default_rng(seed))
+    ref = np.random.default_rng(seed).standard_normal(e.d)
+    assert u.tobytes() == (ref / np.linalg.norm(ref)).tobytes()
+
+
+MEDIAN_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, width=64),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, 5e-324, math.inf, math.nan]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(MEDIAN_ENTRIES, min_size=1, max_size=24))
+def test_projection_median_is_np_median_bit_for_bit(values):
+    a = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf + inf, inf - inf
+        got, want = projection_median(a), float(np.median(a))
+    if want == 0.0:
+        # sort and partition may order equal zeros differently; the sign of
+        # a zero median cannot move a margin test
+        assert got == 0.0
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_projection_median_examples():
+    assert projection_median(np.array([3.0, 1.0, 2.0])) == 2.0
+    assert projection_median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.5
+    assert math.isnan(projection_median(np.array([0.0, math.nan, 1.0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the midpoint is np.median's (a + b) / 2, overflow and all
+        assert projection_median(np.array([1e308, 1.5e308])) == math.inf
+        assert math.isnan(projection_median(np.array([-math.inf, math.inf])))
+
+
 def test_check_separated_examples():
     ok, worst = check_separated(ANTIPODAL, (0, 1, 2, 3), (4, 5, 6, 7), 1.0, 2.0)
     assert ok
@@ -188,6 +298,16 @@ def test_pipeline_rounds_given_embedding_without_value():
     assert rep.relaxation_value == pytest.approx(2.0, abs=1e-12)
     assert rep.succeeded
     assert rep.cut_members == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pipeline_rejects_non_finite_embedding(bad):
+    # a NaN coordinate would fail every attempt and report NaN as the value
+    g = cycle_graph(8)
+    v = cut_to_embedding(g, Cut({0, 1, 2, 3})).vectors.copy()
+    v[5, 0] = bad
+    with pytest.raises(ValueError, match="embedding vectors must all be finite"):
+        pipeline(g, 0.25, 1.0, embedding=Embedding(v))
 
 
 def test_pipeline_infeasible_balance():
