@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification or rounding failure, 2 usage/I-O error.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -202,10 +201,7 @@ def seed_value(text):
     return seed
 
 
-@functools.cache
 def build_parser():
-    """The one parser of this process: parse_args never changes it, and the
-    handlers are bound at import, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="sepkit",
         description="balanced-separator relaxation lab: exact oracle, solvers, rounding",

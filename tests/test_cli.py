@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from sepkit import cli
 from sepkit.cli import main
 from sepkit.corpus import cycle_graph, petersen_graph
 from sepkit.embeddings import Embedding, cut_to_embedding
@@ -226,29 +225,6 @@ def test_pipeline_record_and_determinism(c4_file, capsys):
     assert strip_timestamp(rec1) == strip_timestamp(rec2)
     assert rec1["results"]["succeeded"]
     assert rec1["results"]["cut_size"] >= 2
-
-
-def test_parser_is_built_once_per_process():
-    assert cli.build_parser() is cli.build_parser()
-
-
-def test_shared_parser_keeps_calls_apart(c4_file, tmp_path, capsys):
-    base = ["pipeline", "--graph", str(c4_file), "--p", "2", "--c", "0.25"]
-    _, first = run_json(capsys, base + ["--seed", "3", "--retries", "5"])
-    _, second = run_json(capsys, base)
-    assert (first["config"]["seed"], first["config"]["retries"]) == (3, 5)
-    # no value of the first call stays behind as a default
-    assert (second["config"]["seed"], second["config"]["retries"]) == (0, 64)
-    with pytest.raises(SystemExit) as exc:
-        main(["pipeline", "--batch", str(tmp_path), "--p", "2", "--c", "0.25",
-              "--embedding", "emb.json"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    # after a usage error the parser still parses, and the same argv gives
-    # the same record
-    code, again = run_json(capsys, base + ["--seed", "3", "--retries", "5"])
-    assert code == 0
-    assert strip_timestamp(again) == strip_timestamp(first)
 
 
 def test_pipeline_needs_graph_or_batch(c4_file, tmp_path, capsys):
