@@ -43,9 +43,9 @@ def random_unit_vector(d: int, rng) -> np.ndarray:
 
 
 def projection_median(proj: np.ndarray) -> float:
-    """np.median of a 1-D array, bit for bit, read from one sort: the middle
-    entry for odd n, (a + b) / 2.0 of the middle two for even n (np.median's
-    mean of them), NaN when any entry is NaN (NaN sorts last)."""
+    """numpy's median of a 1-D array, bit for bit, read from one sort: the
+    middle entry for odd n, (a + b) / 2.0 of the middle two for even n
+    (numpy's mean of them), NaN when any entry is NaN (NaN sorts last)."""
     ranked = np.sort(proj)
     h = len(ranked) // 2
     if math.isnan(ranked[-1]):
