@@ -113,15 +113,24 @@ def _descend(g, c, p, z_start, f_start, seed):
     rhs = zform_spread_requirement(g.n, c)
     iterations = 0
     converged = True
+    last = (None, None)  # (z bytes, feas_tol) of the latest subproblem, answer
 
     def subproblem(z, feas_tol):
-        nonlocal iterations, converged
+        """One linearized step from z.  The answer depends on (z, feas_tol)
+        alone, so a repeat of the previous call reuses it: the tight loop
+        starts where the tight landing ended, which is the landing's own
+        input when it found nothing better, or the start it landed from."""
+        nonlocal iterations, converged, last
+        key = (z.tobytes(), feas_tol)
+        if last[0] == key:
+            return last[1]
         grad = objective_gradient(g, z, p)
         result = core.minimize_linear_zform(grad, p, rhs, z, tol=feas_tol, seed=seed)
         iterations += result.iterations
         converged = converged and result.converged
         znew = ZForm(result.z)
-        return znew.matrix, objective_z(g, znew, p)
+        last = (key, (znew.matrix, objective_z(g, znew, p)))
+        return last[1]
 
     def linearize(z, f, feas_tol):
         """Step until a step gains less than INNER_TOL, at most MAX_OUTER

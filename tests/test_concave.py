@@ -12,7 +12,7 @@ from sepkit.concave import (
     solve_concave,
     solve_relaxation,
 )
-from sepkit.corpus import complete_graph, cycle_graph, gnp_graph, path_graph
+from sepkit.corpus import acceptance_corpus, complete_graph, cycle_graph, gnp_graph, path_graph
 from sepkit.embeddings import (
     ZForm,
     cut_to_embedding,
@@ -193,6 +193,25 @@ BAD_INSTANCES = (
 def test_entries_reject_bad_instances_before_work(no_solver_work, entry, c, p, error, match):
     with pytest.raises(error, match=match):
         ENTRIES[entry](cycle_graph(4), c, p)
+
+
+@pytest.mark.parametrize("name", ["K33", "gnp6_seed6", "gnp8_seed1"])
+def test_descent_solves_each_subproblem_once(monkeypatch, name):
+    # a subproblem is a function of (z0, tol, p) for a given graph, so a
+    # second call with bitwise-equal inputs would only redo the same work
+    g = dict(acceptance_corpus())[name]
+    solve = core.minimize_linear_zform
+    calls = []
+
+    def recorded(c_mat, p, rhs, z0, **kwargs):
+        calls.append((np.asarray(z0, dtype=float).tobytes(), kwargs.get("tol"), p))
+        return solve(c_mat, p, rhs, z0, **kwargs)
+
+    monkeypatch.setattr(core, "minimize_linear_zform", recorded)
+    for p in (0.5, 1.0, 1.5):
+        calls.clear()
+        solve_concave(g, C, p)
+        assert len(set(calls)) == len(calls), p
 
 
 def test_solve_concave_local_minimality_certificate():

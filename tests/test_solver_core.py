@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +342,60 @@ def test_lbfgs_loop_matches_scipy_minimize(p, with_triangles):
 )
 def test_lbfgs_loop_matches_scipy_minimize_at_every_stop(fun, budget, status):
     assert assert_matches_scipy_lbfgsb(fun, np.linspace(-1.0, 1.0, 6), budget) == status
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(script, *path):
+    """Run script in a fresh interpreter with path, then sepkit, on the
+    import path; its stdout, after checking that it exited cleanly."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*map(str, path), str(SRC)]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_solvers_run_without_importing_scipy_optimize():
+    # setulb comes from its extension file, not through scipy.optimize's
+    # package __init__, and a later `import scipy.optimize` reuses that module
+    alone = run_python(
+        "import sys\n"
+        "import sepkit.cli\n"
+        "from sepkit import solver_core\n"
+        "from sepkit.concave import solve_concave\n"
+        "from sepkit.corpus import cycle_graph\n"
+        "from sepkit.sdp import solve_sdp\n"
+        "_, report = solve_sdp(cycle_graph(6), 0.25)\n"
+        "solve_concave(cycle_graph(6), 0.25, 1.0)\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        "import scipy.optimize\n"
+        "assert sys.modules['scipy.optimize._lbfgsb'].setulb is solver_core.setulb\n"
+        "print(repr(report.value))\n"
+    )
+    after_scipy = run_python(
+        "import scipy.optimize\n"
+        "from sepkit import solver_core\n"
+        "from sepkit.corpus import cycle_graph\n"
+        "from sepkit.sdp import solve_sdp\n"
+        "assert solver_core.setulb is scipy.optimize._lbfgsb.setulb\n"
+        "print(repr(solve_sdp(cycle_graph(6), 0.25)[1].value))\n"
+    )
+    assert alone == after_scipy
+
+
+def test_missing_lbfgsb_extension_names_the_directory(tmp_path):
+    # a scipy package without the compiled routine: the import fails at once
+    # and says where it looked, rather than falling back to another import
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    out = run_python(
+        "try:\n"
+        "    import sepkit.solver_core\n"
+        "except ImportError as err:\n"
+        "    print(err)\n",
+        tmp_path,
+    )
+    where = tmp_path / "scipy" / "optimize"
+    assert out.strip() == f"no scipy.optimize._lbfgsb extension in {where}"
