@@ -37,12 +37,6 @@ def record_to_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
-def strip_timestamp(record: dict) -> dict:
-    out = dict(record)
-    out.pop("created_at", None)
-    return out
-
-
 BATCH_COLUMNS = [
     "graph",
     "n",

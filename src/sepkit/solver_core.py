@@ -140,59 +140,61 @@ def power_matrix(z, p):
     return np.maximum(z, 0.0) ** half
 
 
-def triangle_slabs(w):
-    """Yield (j, slab) for every middle vertex j, with slab[i, k] =
-    w[i, k] - w[i, j] - w[j, k], the triangle violation of w at the ordered
-    triple (i, j, k).  Every triangle check reduces over these n slabs, so
-    each is an exact n^3 scan at every n."""
-    for j in range(w.shape[0]):
-        yield j, w - w[:, j][:, None] - w[j, :][None, :]
+@lru_cache(maxsize=32)
+def _off_triangle_cells(n):
+    """Read-only n x n x n mask of the cells (i, j, k) that the triangle scan
+    skips, built once per n: i >= k, or j equal to i or k.  (i, j, k) and
+    (k, j, i) are one inequality whose two cells can differ in the last bit;
+    reading each once keeps the scan and the maximum consistent."""
+    i, j, k = np.ogrid[:n, :n, :n]
+    mask = (i >= k) | (i == j) | (j == k)
+    mask.flags.writeable = False
+    return mask
 
 
-def _upper_slabs(z, p):
-    """Power-weight slabs of a symmetric z, upper triangle only.  (i, j, k)
-    and (k, j, i) are one inequality whose two slab entries can differ in the
-    last bit; reading each once keeps the scan and the maximum consistent."""
+def _violation_cube(z, p):
+    """v[i, j, k] = w_ik - w_ij - w_jk for w = z^{p/2} with a zero diagonal,
+    the power-triangle violation of a symmetric z at every triple (i, j, k),
+    and 0 at the cells of `_off_triangle_cells`: one exact n^3 pass at every
+    n.  It allocates one n^3 buffer and works in it: at n = 64 each further
+    2 MB temporary cost as much again as the arithmetic."""
     w = power_matrix(z, p)
     np.fill_diagonal(w, 0.0)
-    upper = _strict_upper(w.shape[0])
-    for j, slab in triangle_slabs(w):
-        yield j, np.where(upper, slab, 0.0)
+    v = w[:, None, :] - w[:, :, None]
+    v -= w[None, :, :]
+    np.copyto(v, 0.0, where=_off_triangle_cells(w.shape[0]))
+    return v
 
 
 def scan_triangle_violations(z, p, tol):
-    """All ordered triples violating the power-triangle inequality by more
-    than tol, as (violation, i, j, k) sorted by decreasing violation with a
-    deterministic tie-break.  Triples are canonicalized to i < k.
+    """Every triple violating the power-triangle inequality by more than tol,
+    as (violations, codes): the violation of each, and its triple (i, j, k),
+    i < k, as the code (i n + j) n + k, sorted by decreasing violation, ties
+    by code.
 
-    For tol >= 0 the list is non-empty exactly when
+    For tol >= 0 the scan is non-empty exactly when
     max_triangle_violation_z(z, p) > tol, and its first entry is that maximum.
     """
-    if z.shape[0] < 3:
-        return []
-    found = []
-    for j, viol in _upper_slabs(z, p):
-        ii, kk = np.nonzero(viol > tol)
-        for i, k in zip(ii.tolist(), kk.tolist()):
-            if i != j and k != j:
-                found.append((float(viol[i, k]), i, j, k))
-    found.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
-    return found
+    v = _violation_cube(z, p).ravel()
+    codes = np.flatnonzero(v > tol)
+    violations = v[codes]
+    order = np.lexsort((codes, -violations))
+    return violations[order], codes[order]
 
 
 def max_triangle_violation_z(z, p):
     """Largest power-triangle violation of a symmetric z; 0 when none is."""
     if z.shape[0] < 3:
         return 0.0
-    return max(float(viol.max()) for _, viol in _upper_slabs(z, p))
+    return float(_violation_cube(z, p).max())
 
 
-def triangle_flat_indices(tri, n):
-    """Flat indices into an n x n Z of the pairs of each triple (i, j, k), in
-    three blocks (i, k) | (i, j) | (j, k)."""
-    tri = np.asarray(tri, dtype=np.int64)
-    i, j, k = tri[:, 0], tri[:, 1], tri[:, 2]
-    return np.concatenate([i * n + k, i * n + j, j * n + k])
+def triangle_flat_indices(codes, n):
+    """Flat indices into an n x n Z of the pairs of each triple code
+    (i n + j) n + k, in three blocks (i, k) | (i, j) | (j, k)."""
+    ij, k = np.divmod(codes, n)
+    i, j = np.divmod(ij, n)
+    return np.concatenate([i * n + k, ij, j * n + k])
 
 
 # signs of the three blocks in h = w_ik - w_ij - w_jk, halved for the two
@@ -372,9 +374,10 @@ def minimize_linear_zform(
     z_start = 0.7 * z0 + 0.3 * (1.0 - np.eye(n))
     v = factor_correlation(1.0 - z_start, rng)
     mu = 0.0
-    # active triples, kept across rounds: their flat indices into Z (see
-    # triangle_flat_indices), one multiplier each, and the set of triples
-    existing = set()
+    # active triples, kept across rounds: their codes (see
+    # scan_triangle_violations), their flat indices into Z (see
+    # triangle_flat_indices) and one multiplier each
+    active = np.zeros(0, dtype=np.int64)
     flat = np.zeros(0, dtype=np.int64)
     nu = np.zeros(0)
     rho = 1.0
@@ -394,9 +397,9 @@ def minimize_linear_zform(
         slack = spread_sum(z) - rhs
         # one triangle pass per round: the scan is empty exactly when the
         # largest violation is within tol, and otherwise leads with it
-        violations = scan_triangle_violations(z, p, tol)
-        infeas = max(0.0, -slack) + (violations[0][0] if violations else 0.0)
-        feasible_now = slack >= -tol and not violations
+        violations, codes = scan_triangle_violations(z, p, tol)
+        infeas = max(0.0, -slack) + (float(violations[0]) if len(codes) else 0.0)
+        feasible_now = slack >= -tol and not len(codes)
         val_now = float(np.vdot(c_mat, z))
         if feasible_now and (best is None or val_now < best[0]):
             best = (val_now, z.copy())
@@ -418,14 +421,9 @@ def minimize_linear_zform(
             h, _ = _triangle_terms(z, flat, p)
             nu = np.maximum(0.0, nu + rho * h)
         # activate worst new triangles
-        fresh = []
-        for viol, i, j, k in violations:
-            if (i, j, k) not in existing:
-                fresh.append((i, j, k))
-                existing.add((i, j, k))
-            if len(fresh) >= batch:
-                break
-        if fresh:
+        fresh = codes[~np.isin(codes, active)][:batch]
+        if len(fresh):
+            active = np.concatenate([active, fresh])
             new = triangle_flat_indices(fresh, n).reshape(3, -1)
             flat = np.concatenate([flat.reshape(3, -1), new], axis=1).ravel()
             nu = np.concatenate([nu, np.zeros(len(fresh))])

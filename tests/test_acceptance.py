@@ -29,7 +29,7 @@ from sepkit.embeddings import (
     objective,
 )
 from sepkit.graphs import Cut, balanced_size_range, cut_size
-from sepkit.records import strip_timestamp, record_to_json
+from sepkit.records import record_to_json
 from sepkit.rounding import (
     PipelineOptions,
     attempt_rng,
@@ -267,6 +267,11 @@ def test_criterion_8_set_find_fixtures():
     ok = fixture1 and fixture2 and fixture3
     announce(8, "set-find hand-trace fixtures", ok, f"[{fixture1}, {fixture2}, {fixture3}]")
     assert ok
+
+
+def strip_timestamp(record):
+    """record without its created_at, the one field two equal runs differ in."""
+    return {key: value for key, value in record.items() if key != "created_at"}
 
 
 def test_criterion_9_pipeline_determinism(tmp_path, capsys):

@@ -138,8 +138,8 @@ def test_triangle_check_is_exact_beyond_64_vertices():
     for i, deg in enumerate((30.0, 0.0, -30.0)):
         v[i, :2] = np.cos(np.radians(deg)), np.sin(np.radians(deg))
     v[3:, 2:] = np.eye(n - 3)
-    found = core.scan_triangle_violations(1.0 - v @ v.T, 2.0, 1e-9)
-    assert [t[1:] for t in found] == [(0, 1, 2)]
+    _, codes = core.scan_triangle_violations(1.0 - v @ v.T, 2.0, 1e-9)
+    assert codes.tolist() == [np.ravel_multi_index((0, 1, 2), (n, n, n))]
     # squared-distance violation -2 <v0 - v1, v2 - v1>
     s, c = np.sin(np.radians(30.0)), np.cos(np.radians(30.0))
     expected = 2.0 * (s * s - (1.0 - c) ** 2)

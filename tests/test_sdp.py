@@ -117,24 +117,27 @@ def test_sdp_rejects_oversize():
         solve_sdp(Graph(65), C)
 
 
+def assert_scan_empty(z):
+    violations, codes = core.scan_triangle_violations(z, 2.0, 1e-9)
+    assert violations.size == codes.size == 0
+
+
 def test_violated_triangles_clean_on_cut_and_identity():
     g = cycle_graph(4)
     x = gram_from_embedding(cut_to_embedding(g, Cut({0, 1})))
-    assert core.scan_triangle_violations(z_from_gram(x).matrix, 2.0, 1e-9) == []
-    z = z_from_gram(GramForm(np.eye(4))).matrix
-    assert core.scan_triangle_violations(z, 2.0, 1e-9) == []
+    assert_scan_empty(z_from_gram(x).matrix)
+    assert_scan_empty(z_from_gram(GramForm(np.eye(4))).matrix)
 
 
 def test_violated_triangles_detects_construction():
     # x01 = x12 = 0.9 with x02 = 0.7 makes d(0,2)^2 > d(0,1)^2 + d(1,2)^2
     x = np.array([[1.0, 0.9, 0.7], [0.9, 1.0, 0.9], [0.7, 0.9, 1.0]])
-    found = core.scan_triangle_violations(z_from_gram(GramForm(x)).matrix, 2.0, 1e-9)
-    assert found
-    top = found[0]
-    assert (top[1], top[2], top[3]) == (0, 1, 2)
+    violations, codes = core.scan_triangle_violations(z_from_gram(GramForm(x)).matrix, 2.0, 1e-9)
+    assert len(codes)
+    assert np.unravel_index(codes[0], (3, 3, 3)) == (0, 1, 2)
     # violation in Z units: 0.3 - 0.1 - 0.1
-    assert top[0] == pytest.approx(0.1, abs=1e-12)
-    assert found == sorted(found, key=lambda t: -t[0])
+    assert violations[0] == pytest.approx(0.1, abs=1e-12)
+    assert np.all(np.diff(violations) <= 0.0)
 
 
 def test_violated_triangles_found_by_perturbation_search():
@@ -144,12 +147,12 @@ def test_violated_triangles_found_by_perturbation_search():
     base = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
     x0 = gram_from_embedding(cut_to_embedding(cycle_graph(3), Cut({0})))
     # distances 0/4 satisfy equality
-    assert core.scan_triangle_violations(z_from_gram(x0).matrix, 2.0, 1e-9) == []
+    assert_scan_empty(z_from_gram(x0).matrix)
     for _ in range(200):
         v = base + 0.3 * rng.standard_normal(base.shape)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         x = gram_from_embedding(Embedding(v))
-        if core.scan_triangle_violations(z_from_gram(x).matrix, 2.0, 1e-6):
+        if len(core.scan_triangle_violations(z_from_gram(x).matrix, 2.0, 1e-6)[1]):
             return
     raise AssertionError("perturbation search found no violation")
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
@@ -26,6 +26,16 @@ def test_factor_correlation_unit_rows_full_width():
     assert np.linalg.matrix_rank(v, tol=1e-8) == 4  # jitter restores width
 
 
+def triples_of(codes, n):
+    """The (i, j, k) triples of scan codes, as a list of tuples."""
+    return list(zip(*(a.tolist() for a in np.unravel_index(codes, (n, n, n)))))
+
+
+def triple_codes(tri, n):
+    """Scan codes (i n + j) n + k of an array of (i, j, k) rows."""
+    return np.ravel_multi_index(np.asarray(tri, dtype=np.int64).reshape(-1, 3).T, (n, n, n))
+
+
 def test_scan_canonicalizes_and_sorts():
     z = np.zeros((4, 4))
     # w = z at p = 2; make (0, 1, 3) violated more than (0, 2, 3)
@@ -34,10 +44,11 @@ def test_scan_canonicalizes_and_sorts():
     z[1, 3] = z[3, 1] = 0.2
     z[0, 2] = z[2, 0] = 0.5
     z[2, 3] = z[3, 2] = 0.5
-    found = core.scan_triangle_violations(z, 2.0, 1e-9)
-    assert [tuple(t[1:]) for t in found[:2]] == [(0, 1, 3), (0, 2, 3)]
-    assert all(i < k for _, i, _, k in found)
-    assert found[0][0] == pytest.approx(1.4)
+    violations, codes = core.scan_triangle_violations(z, 2.0, 1e-9)
+    found = triples_of(codes, 4)
+    assert found[:2] == [(0, 1, 3), (0, 2, 3)]
+    assert all(i < k for i, _, k in found)
+    assert violations[0] == pytest.approx(1.4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -52,11 +63,70 @@ def test_scan_agrees_with_max_violation(p, tol, data):
     n = data.draw(st.integers(3, 7))
     a = data.draw(arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
     z = a + a.T
-    found = core.scan_triangle_violations(z, p, tol)
+    violations, _ = core.scan_triangle_violations(z, p, tol)
     worst = core.max_triangle_violation_z(z, p)
-    assert bool(found) == (worst > tol)
-    if found:
-        assert found[0][0] == worst
+    assert bool(len(violations)) == (worst > tol)
+    if len(violations):
+        assert violations[0] == worst
+
+
+def slab_scan_reference(z, p, tol):
+    """The triangle scan and maximum as n slabs, one per middle vertex j,
+    with a tuple per violated triple: (sorted [(violation, i, j, k)], max)."""
+    n = z.shape[0]
+    if n < 3:
+        return [], 0.0
+    w = core.power_matrix(z, p)
+    np.fill_diagonal(w, 0.0)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    found, worst = [], []
+    for j in range(n):
+        slab = np.where(upper, w - w[:, j][:, None] - w[j, :][None, :], 0.0)
+        worst.append(float(slab.max()))
+        ii, kk = np.nonzero(slab > tol)
+        for i, k in zip(ii.tolist(), kk.tolist()):
+            if i != j and k != j:
+                found.append((float(slab[i, k]), i, j, k))
+    found.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
+    return found, max(worst)
+
+
+def assert_scan_matches_reference(z, p, tol):
+    found, worst = slab_scan_reference(z, p, tol)
+    violations, codes = core.scan_triangle_violations(z, p, tol)
+    assert violations.tobytes() == np.array([t[0] for t in found]).tobytes()
+    assert triples_of(codes, z.shape[0]) == [t[1:] for t in found]
+    assert core.max_triangle_violation_z(z, p) == worst
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from((0.5, 1.0, 1.5, 2.0)),
+    tol=st.sampled_from((0.0, 1e-9, 1e-6, 0.1)),
+    data=st.data(),
+)
+@example(p=2.0, tol=0.0, data=None)
+def test_scan_matches_the_slab_reference(p, tol, data):
+    # entries from a short list of exact values (ties, zeros and -1e-17 dust
+    # that the power clips to 0) mixed with free draws; the diagonal is drawn
+    # too, and the scan must zero it
+    if data is None:  # an all-zero z: every triple holds with equality
+        z = np.zeros((5, 5))
+    else:
+        n = data.draw(st.integers(1, 12))
+        entries = st.one_of(st.sampled_from((0.0, -1e-17, 0.25, 0.5, 1.0, 2.0)),
+                            st.floats(0.0, 2.0))
+        a = data.draw(arrays(np.float64, (n, n), elements=entries))
+        z = np.where(np.triu(np.ones((n, n), dtype=bool)), a, a.T)
+    assert_scan_matches_reference(z, p, tol)
+
+
+@pytest.mark.parametrize("p", (0.5, 1.0, 1.5, 2.0))
+def test_scan_matches_the_slab_reference_at_64_vertices(p):
+    rng = np.random.default_rng(int(4 * p))
+    z = core.z_of_factor(core.normalize_rows(rng.standard_normal((64, 8))))
+    z[z < 0.3] = -1e-17  # near pairs as dust, many tied at zero weight
+    assert_scan_matches_reference(z, p, 1e-9)
 
 
 def test_round_cap_marks_result_unconverged():
@@ -117,7 +187,7 @@ def test_al_objective_gradient_matches_finite_differences(p, d):
     c_mat = core.symmetrize(rng.standard_normal((n, n)))
     np.fill_diagonal(c_mat, 0.0)
     tri = np.array(SHARED_TRIPLES)
-    flat = core.triangle_flat_indices(tri, n)
+    flat = core.triangle_flat_indices(triple_codes(tri, n), n)
     nu = np.linspace(10.0, 12.0, len(tri))
     mu, rho = 0.5, 2.0
     rhs = 40.0  # above any spread of 7 unit vectors, so the spread term acts
@@ -207,13 +277,14 @@ def test_al_objective_is_bit_identical_to_the_unfused_steps(p, spread_acts, tria
             if triangles == "idle":
                 # triples whose constraint holds strictly, with zero
                 # multipliers: every term is max(0, rho h) = 0
-                h, _ = core._triangle_terms(z, core.triangle_flat_indices(triples, n), p)
+                flat = core.triangle_flat_indices(triple_codes(triples, n), n)
+                h, _ = core._triangle_terms(z, flat, p)
                 triples = triples[h < 0.0]
                 assert len(triples)
             size = 0 if triangles == "none" else min(n, len(triples))
             picked = rng.choice(len(triples), size=size, replace=False)
             tri = triples[picked].reshape(-1, 3)
-            flat = core.triangle_flat_indices(tri, n)
+            flat = core.triangle_flat_indices(triple_codes(tri, n), n)
             nu = rng.uniform(0.0, 10.0, len(tri)) if triangles == "acting" else np.zeros(len(tri))
             if triangles != "none":
                 h, _ = core._triangle_terms(z, flat, p)
@@ -259,6 +330,8 @@ def test_spread_sum_is_the_strict_upper_triangle_sum(n, seed):
 def test_cached_masks_are_read_only():
     with pytest.raises(ValueError):
         core._strict_upper(5)[0, 1] = False
+    with pytest.raises(ValueError):
+        core._off_triangle_cells(5)[0, 1, 2] = True
 
 
 def counted(fun):
@@ -311,7 +384,7 @@ def test_lbfgs_loop_matches_scipy_minimize(p, with_triangles):
         triples = [t for t in permutations(range(n), 3) if t[0] < t[2]]
         picked = rng.choice(len(triples), size=n if with_triangles else 0, replace=False)
         tri = np.array([triples[t] for t in picked], dtype=np.int64).reshape(-1, 3)
-        flat = core.triangle_flat_indices(tri, n)
+        flat = core.triangle_flat_indices(triple_codes(tri, n), n)
         nu = rng.uniform(1.0, 3.0, len(tri))
         v = core.factor_correlation(1.0 - 0.5 * z, rng)
         rhs = 0.6 * n * (n - 1) / 2.0

@@ -135,7 +135,7 @@ def test_readme_commands_parse_and_scripts_exist():
 
 # reference checks that only the tests compare against (ROADMAP item 8)
 TEST_ONLY_NAMES = {
-    "is_c_balanced", "cut_to_embedding", "check_separated", "grid_oracle_n3", "strip_timestamp",
+    "is_c_balanced", "cut_to_embedding", "check_separated", "grid_oracle_n3",
 }
 
 
