@@ -60,10 +60,16 @@ def _solve_config(graph, args):
     return config
 
 
+def _solve(g, args):
+    """The one solve behind `solve` and behind `pipeline` without
+    --embedding: (GramForm, SolveReport, Embedding)."""
+    x, report = solve_relaxation(g, args.c, args.p, seed=args.seed, starts=args.starts)
+    return x, report, embedding_from_gram(x)
+
+
 def cmd_solve(args):
     g = _read_graph(args.graph)
-    x, report = solve_relaxation(g, args.c, args.p, seed=args.seed, starts=args.starts)
-    emb = embedding_from_gram(x)
+    x, report, emb = _solve(g, args)
     if args.out_matrix:
         Path(args.out_matrix).write_text(x.to_json() + "\n")
     if args.out_embedding:
@@ -84,16 +90,6 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def _pipeline_options(args):
-    return PipelineOptions(
-        delta=args.delta,
-        sigma=args.sigma,
-        retries=args.retries,
-        seed=args.seed,
-        starts=args.starts,
-    )
-
-
 def _pipeline_config(graph, args):
     """Record config of a pipeline run, the same keys in single-graph and
     batch mode; `embedding` and `relaxation_value` say whether a stored
@@ -109,10 +105,20 @@ def _pipeline_config(graph, args):
 
 
 def _run_single_pipeline(g, name, args):
-    emb = None
+    """Round the stored embedding, or solve first when there is none."""
+    # a bad rounding flag fails before any work
+    opts = PipelineOptions(
+        delta=args.delta, sigma=args.sigma, retries=args.retries, seed=args.seed
+    )
+    value = args.relaxation_value
     if args.embedding:
         emb = Embedding.from_json(Path(args.embedding).read_text())
-    report = pipeline(g, args.c, args.p, _pipeline_options(args), emb, args.relaxation_value)
+    elif value is not None:
+        raise ValueError("a relaxation value needs the embedding it was solved for")
+    else:
+        _, solved, emb = _solve(g, args)
+        value = solved.value
+    report = pipeline(g, args.c, args.p, opts, embedding=emb, relaxation_value=value)
     results = asdict(report)
     results["graph"] = name
     results["n"] = g.n

@@ -113,24 +113,16 @@ def _descend(g, c, p, z_start, f_start, seed):
     rhs = zform_spread_requirement(g.n, c)
     iterations = 0
     converged = True
-    last = (None, None)  # (z bytes, feas_tol) of the latest subproblem, answer
 
     def subproblem(z, feas_tol):
-        """One linearized step from z.  The answer depends on (z, feas_tol)
-        alone, so a repeat of the previous call reuses it: the tight loop
-        starts where the tight landing ended, which is the landing's own
-        input when it found nothing better, or the start it landed from."""
-        nonlocal iterations, converged, last
-        key = (z.tobytes(), feas_tol)
-        if last[0] == key:
-            return last[1]
+        """One linearized step from z."""
+        nonlocal iterations, converged
         grad = objective_gradient(g, z, p)
         result = core.minimize_linear_zform(grad, p, rhs, z, tol=feas_tol, seed=seed)
         iterations += result.iterations
         converged = converged and result.converged
         znew = ZForm(result.z)
-        last = (key, (znew.matrix, objective_z(g, znew, p)))
-        return last[1]
+        return znew.matrix, objective_z(g, znew, p)
 
     def linearize(z, f, feas_tol):
         """Step until a step gains less than INNER_TOL, at most MAX_OUTER
@@ -150,6 +142,10 @@ def _descend(g, c, p, z_start, f_start, seed):
     z1, f1 = subproblem(z, TIGHT_TOL)
     if f1 > f_start:
         z1, f1 = np.asarray(z_start, dtype=float), f_start
+    if z1.tobytes() == z.tobytes():
+        # the landing stayed put, or fell back to the start it never left:
+        # the tight loop's first step would repeat it and stop there
+        return z1, f1, iterations, True, converged
 
     # tight descent to a linearization fixed point
     z, f, certified = linearize(z1, f1, TIGHT_TOL)

@@ -119,10 +119,6 @@ class ZForm:
         np.fill_diagonal(z, 0.0)
         object.__setattr__(self, "matrix", z)
 
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:

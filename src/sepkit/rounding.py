@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concave import STARTS, solve_relaxation
-from .embeddings import Embedding, RelaxationParams, embedding_from_gram, objective
+from .embeddings import Embedding, RelaxationParams, objective
 from .graphs import Cut, Graph, cut_size, exact_balanced_separator, require_balanced_sizes
 
 
@@ -188,7 +187,6 @@ class PipelineOptions:
     sigma: float = 1.0
     retries: int = 64
     seed: int = 0
-    starts: int = STARTS  # concave multistart width
 
     def __post_init__(self):
         if self.delta is not None and not (math.isfinite(self.delta) and self.delta > 0):
@@ -309,37 +307,31 @@ def pipeline(
     c: float,
     p: float,
     opts: PipelineOptions = PipelineOptions(),
-    embedding: Embedding | None = None,
+    *,
+    embedding: Embedding,
     relaxation_value: float | None = None,
 ) -> PipelineReport:
-    """Solve the exponent-p relaxation, round with repeated set-find attempts,
-    and report the produced cut against the relaxation and the exact optimum.
+    """Round the given embedding of g with repeated set-find attempts, and
+    report the produced cut against the relaxation and the exact optimum.
 
-    A precomputed embedding skips the solve; that is how the CLI chains a
-    stored solver artifact into the rounding stage.  It must have one finite
-    vector per vertex of g.  The relaxation value then defaults to the
-    embedding's own objective at exponent p; a value without an embedding is
-    rejected, since the solve would replace it, and so is one that is
-    negative, NaN or infinite.  c, balance and p are checked before any work,
-    as the solvers check them.
+    The embedding is a solver's output (`concave.solve_relaxation`, then
+    `embeddings.embedding_from_gram`) or a stored copy of one; it must have
+    one finite vector per vertex of g.  The relaxation value defaults to the
+    embedding's own objective at exponent p; a given one that is negative,
+    NaN or infinite is rejected.  c, balance and p are checked before any
+    work, as the solvers check them.
     """
     require_balanced_sizes(g.n, c)
     RelaxationParams(p, c)
-    if embedding is None and relaxation_value is not None:
-        raise ValueError("a relaxation value needs the embedding it was solved for")
-    if embedding is not None and embedding.n != g.n:
+    if embedding.n != g.n:
         raise ValueError(f"embedding has {embedding.n} vectors, graph has {g.n} vertices")
-    if embedding is not None and not np.isfinite(embedding.vectors).all():
+    if not np.isfinite(embedding.vectors).all():
         raise ValueError("embedding vectors must all be finite")
-    if relaxation_value is not None and not 0.0 <= relaxation_value < math.inf:
+    if relaxation_value is None:
+        relaxation_value = objective(g, embedding, p)
+    elif not 0.0 <= relaxation_value < math.inf:
         raise ValueError(f"relaxation value must be finite and >= 0, got {relaxation_value}")
     delta = opts.delta if opts.delta is not None else delta_target(g.n, p)
-    if embedding is None:
-        x, rep = solve_relaxation(g, c, p, seed=opts.seed, starts=opts.starts)
-        embedding = embedding_from_gram(x)
-        relaxation_value = rep.value
-    elif relaxation_value is None:
-        relaxation_value = objective(g, embedding, p)
 
     oracle = exact_balanced_separator(g, c)  # None above the oracle's reach
     exact = None if oracle is None else oracle[1]

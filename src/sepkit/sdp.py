@@ -78,7 +78,9 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
         seed=seed,
     )
     report = SolveReport(
-        value=result.value,
+        # <C, Z> lands ulps below 0 when z_ij = 1 - x_ij does on every edge;
+        # objective_z clamps z at 0 the same way (NaN stays NaN)
+        value=max(result.value, 0.0),
         residuals=check_feasibility(result.z, params, Z_TOL, Z_TOL),
         iterations=result.iterations,
         converged=result.converged,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sepkit import concave
 from sepkit.cli import main
 from sepkit.corpus import cycle_graph, petersen_graph
 from sepkit.embeddings import Embedding, cut_to_embedding
@@ -114,12 +115,30 @@ def test_solve_flags_and_config_are_the_solver_inputs(c4_file, capsys):
 
 
 def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
-    # `solve --p 1` and `pipeline --p 1` must round the same relaxation
+    # `solve --p 1` and `pipeline --p 1` make the same solve call, so the
+    # pipeline rounds the relaxation that `solve` reports
     code, record = run_json(
         capsys, ["solve", "--graph", str(c4_file), "--p", "1", "--c", "0.25"]
     )
     assert code == 0
     assert record["config"]["starts"] == 4
+    code, piped = run_json(
+        capsys, ["pipeline", "--graph", str(c4_file), "--p", "1", "--c", "0.25"]
+    )
+    assert code == 0
+    assert piped["config"]["starts"] == 4
+    assert piped["results"]["relaxation_value"] == record["results"]["relaxation_value"]
+
+
+def test_solve_nonconvergence_exit_1(c4_file, capsys, monkeypatch):
+    monkeypatch.setattr(concave, "MAX_OUTER", 1)
+    code = main(["solve", "--graph", str(c4_file), "--p", "1", "--c", "0.25"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "solver failed to converge: no linearization fixed point within MAX_OUTER=1\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -150,12 +169,14 @@ def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
         ["gaussian-test", "--d", "4", "--x", "nan", "--samples", "10000"],
         # a NaN coordinate would fail every attempt and write a NaN value
         ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--embedding", "EMB_NAN"],
+        # a batch directory without one *.txt graph
+        ["pipeline", "--batch", "EMPTY", "--p", "2", "--c", "0.25"],
     ],
     ids=["pipeline-retries-3", "pipeline-retries0", "solve-p2-starts0", "gaussian-d0",
          "pipeline-value-without-embedding", "exact-c0", "exact-cinf", "solve-cnan",
          "pipeline-delta0", "pipeline-delta-inf", "pipeline-sigma-inf", "pipeline-value-nan",
          "pipeline-value-negative", "pipeline-value-inf", "gaussian-xnan",
-         "pipeline-embedding-nan"],
+         "pipeline-embedding-nan", "pipeline-batch-empty"],
 )
 def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
     emb = cut_to_embedding(cycle_graph(4), Cut({0, 1}))
@@ -165,7 +186,11 @@ def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
     vectors[2, 0] = np.nan
     nan_path = c4_file.parent / "emb_nan.json"
     nan_path.write_text(Embedding(vectors).to_json())
-    paths = {"C4": str(c4_file), "EMB": str(emb_path), "EMB_NAN": str(nan_path)}
+    empty = c4_file.parent / "empty"
+    empty.mkdir()
+    (empty / "notes.md").write_text(C4_TEXT)
+    paths = {"C4": str(c4_file), "EMB": str(emb_path), "EMB_NAN": str(nan_path),
+             "EMPTY": str(empty)}
     code = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -429,3 +454,26 @@ def test_solve_then_round_artifact_flow(c4_file, tmp_path, capsys):
     )
     assert code == 0
     assert rec["results"]["succeeded"]
+
+
+def test_solve_then_round_two_triangles_at_p2(tmp_path, capsys):
+    # Z is 0 on every edge, so <C, Z> can come out ulps below 0; the value
+    # `solve` records must be one that `pipeline` accepts back
+    graph = tmp_path / "triangles.txt"
+    graph.write_text("6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")
+    emb_path = tmp_path / "emb.json"
+    base = ["--graph", str(graph), "--p", "2", "--c", "0.25"]
+    code, solve_rec = run_json(
+        capsys, ["solve", *base, "--out-embedding", str(emb_path)]
+    )
+    assert code == 0
+    value = solve_rec["results"]["relaxation_value"]
+    assert value >= 0.0
+    code, rec = run_json(
+        capsys,
+        ["pipeline", *base, "--embedding", str(emb_path), f"--relaxation-value={value!r}"],
+    )
+    assert code == 0
+    assert rec["results"]["relaxation_value"] == value
+    assert rec["results"]["succeeded"]
+    assert rec["results"]["cut_size"] == rec["results"]["exact_value"] == 0

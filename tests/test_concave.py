@@ -195,6 +195,12 @@ def test_entries_reject_bad_instances_before_work(no_solver_work, entry, c, p, e
         ENTRIES[entry](cycle_graph(4), c, p)
 
 
+def test_solve_concave_rejects_n_above_cap_before_work(no_solver_work):
+    n = concave.CONCAVE_N_CAP + 1
+    with pytest.raises(ValueError, match=f"n={n} beyond the desk-scale cap"):
+        solve_concave(cycle_graph(n), C, 1.0)
+
+
 @pytest.mark.parametrize("name", ["K33", "gnp6_seed6", "gnp8_seed1"])
 def test_descent_solves_each_subproblem_once(monkeypatch, name):
     # a subproblem is a function of (z0, tol, p) for a given graph, so a

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepkit.concave import solve_relaxation
 from sepkit.corpus import cycle_graph, gnp_graph
-from sepkit.embeddings import Embedding, cut_to_embedding
+from sepkit.embeddings import Embedding, cut_to_embedding, embedding_from_gram
 from sepkit.graphs import Cut, Graph, InfeasibleBalanceError
 from sepkit.rounding import (
     PipelineOptions,
@@ -271,8 +272,16 @@ def test_produce_cut_detects_bad_separation():
         produce_cut(g, e.distance_matrix(), (0,), (1,), 1.0, np.random.default_rng(0))
 
 
+def solved(g, c, p, seed):
+    """pipeline's inputs as `sepkit pipeline` makes them without --embedding:
+    the embedding and value of the solve at the rounding seed."""
+    x, rep = solve_relaxation(g, c, p, seed=seed)
+    return {"embedding": embedding_from_gram(x), "relaxation_value": rep.value}
+
+
 def test_pipeline_c4_p2():
-    rep = pipeline(cycle_graph(4), 0.25, 2.0, PipelineOptions(seed=11))
+    g = cycle_graph(4)
+    rep = pipeline(g, 0.25, 2.0, PipelineOptions(seed=11), **solved(g, 0.25, 2.0, 11))
     assert rep.succeeded
     n = 4
     c_prime = 0.25 / 4
@@ -283,7 +292,8 @@ def test_pipeline_c4_p2():
 
 
 def test_pipeline_c8_p1():
-    rep = pipeline(cycle_graph(8), 0.25, 1.0, PipelineOptions(seed=3))
+    g = cycle_graph(8)
+    rep = pipeline(g, 0.25, 1.0, PipelineOptions(seed=3), **solved(g, 0.25, 1.0, 3))
     assert rep.succeeded
     assert rep.cut_size >= 2
     assert rep.ratio >= 1.0 - 1e-9
@@ -314,13 +324,14 @@ def test_pipeline_rejects_non_finite_embedding(bad):
 def test_pipeline_infeasible_balance():
     # c = 1/2 is a valid fraction that leaves no size strictly inside (n/2, n/2)
     with pytest.raises(InfeasibleBalanceError):
-        pipeline(Graph(2, ((0, 1),)), 0.5, 1.0)
+        pipeline(Graph(2, ((0, 1),)), 0.5, 1.0, embedding=Embedding(np.eye(2)))
 
 
 def test_pipeline_failure_is_report_not_error():
     # sigma so large that no projection can pass the margin test
     opts = PipelineOptions(sigma=100.0, retries=3, seed=0)
-    rep = pipeline(cycle_graph(6), 0.25, 2.0, opts)
+    g = cycle_graph(6)
+    rep = pipeline(g, 0.25, 2.0, opts, **solved(g, 0.25, 2.0, 0))
     assert not rep.succeeded
     assert rep.cut_members is None
     assert rep.attempts == 3
@@ -329,7 +340,7 @@ def test_pipeline_failure_is_report_not_error():
 def test_pipeline_balance_propagation():
     for seed in range(5):
         g = gnp_graph(8, 0.5, seed + 40)
-        rep = pipeline(g, 0.25, 2.0, PipelineOptions(seed=seed))
+        rep = pipeline(g, 0.25, 2.0, PipelineOptions(seed=seed), **solved(g, 0.25, 2.0, seed))
         if rep.succeeded:
             k = len(rep.cut_members)
             assert min(k, g.n - k) >= (0.25 / 4) * g.n

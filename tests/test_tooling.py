@@ -6,6 +6,7 @@ and edits sys.path.  README's command lines are held to the CLI and the
 scripts directory the same way."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -18,6 +19,7 @@ import numpy as np
 from sepkit import cli, concave, sdp  # cli imports every traced module
 from sepkit.corpus import cycle_graph
 from sepkit.embeddings import GramForm, embedding_from_gram
+from sepkit.rounding import PipelineOptions
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -228,3 +230,23 @@ def test_every_method_and_field_has_a_reader_outside_its_class():
                        for where, found in refs.items() for ref, line in found):
                 unread.add(f"{cls}.{name}")
     assert unread == UNREAD_MEMBERS, sorted(unread ^ UNREAD_MEMBERS)
+
+
+def sepkit_imports(path):
+    """The sepkit modules a package file imports, named within the package."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("sepkit" if node.level else "", node.module)))
+            modules.update(f"{base}.{a.name}" if base == "sepkit" else base for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+    return {m.removeprefix("sepkit.") for m in modules if m.startswith("sepkit")}
+
+
+def test_rounding_rounds_what_it_is_given():
+    # solving is the caller's stage: rounding reads graphs and embeddings only
+    assert sepkit_imports(ROOT / "src" / "sepkit" / "rounding.py") == {"graphs", "embeddings"}
+    assert [f.name for f in dataclasses.fields(PipelineOptions)] == [
+        "delta", "sigma", "retries", "seed",
+    ]
