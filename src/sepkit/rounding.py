@@ -41,17 +41,6 @@ def random_unit_vector(d: int, rng) -> np.ndarray:
     return u / math.sqrt(u.dot(u))  # np.linalg.norm's own 1-D formula
 
 
-def projection_median(proj: np.ndarray) -> float:
-    """numpy's median of a 1-D array, bit for bit, read from one sort: the
-    middle entry for odd n, (a + b) / 2.0 of the middle two for even n
-    (numpy's mean of them), NaN when any entry is NaN (NaN sorts last)."""
-    ranked = np.sort(proj)
-    h = len(ranked) // 2
-    if math.isnan(ranked[-1]):
-        return math.nan
-    return float(ranked[h]) if len(ranked) % 2 else float((ranked[h - 1] + ranked[h]) / 2.0)
-
-
 def modified_set_find(
     e: Embedding,
     dist: np.ndarray,
@@ -62,23 +51,22 @@ def modified_set_find(
     sigma: float = 1.0,
     direction=None,
 ) -> SetFindResult:
-    """One projection round: median split with sigma/(2 sqrt(d)) margins, then
-    greedy pairwise deletion of cross pairs at distance dist[i, j] <= delta,
-    where dist holds ||v_i - v_j||^p (`pipeline` builds it once per run).
+    """One projection round, ARV's SET-FIND split around the origin: S' holds
+    the projections >= sigma/(2 sqrt(d)) and T' those <= -sigma/(2 sqrt(d)).
+    Then greedy pairwise deletion of cross pairs at distance dist[i, j] <=
+    delta, where dist holds ||v_i - v_j||^p (`pipeline` builds it once per
+    run).
 
     `direction` forces the projection direction (used by the deterministic
     fixtures); otherwise a uniform random unit vector is drawn from rng.
-    For even n the median is the midpoint of the two central projections,
-    which keeps both margins meaningful.  Success means both sides still hold
-    at least c'n vectors after deletion.
+    Success means both sides still hold at least c'n vectors after deletion.
     """
     n, d = e.n, e.d
     u = np.asarray(direction, dtype=float) if direction is not None else random_unit_vector(d, rng)
     proj = e.vectors @ u
-    med = projection_median(proj)
     margin = sigma / (2.0 * math.sqrt(d))
-    s_prime = (proj >= med + margin).nonzero()[0].tolist()
-    t_prime = (proj <= med - margin).nonzero()[0].tolist()
+    s_prime = (proj >= margin).nonzero()[0].tolist()
+    t_prime = (proj <= -margin).nonzero()[0].tolist()
     threshold = 2.0 * c_prime * n
     if len(s_prime) <= threshold or len(t_prime) <= threshold:
         return SetFindResult(

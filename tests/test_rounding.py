@@ -20,7 +20,6 @@ from sepkit.rounding import (
     modified_set_find,
     pipeline,
     produce_cut,
-    projection_median,
     random_unit_vector,
 )
 
@@ -59,13 +58,30 @@ def test_set_find_fixture_antipodal_success():
 
 
 def test_set_find_fixture_identical_vectors_fail():
+    # every projection is 1, above the origin's margin: T' is empty
     e = Embedding(np.ones((8, 1)))
     res = modified_set_find(
         e, e.distance_matrix(), np.random.default_rng(0), **FIXTURE_PARAMS, direction=[1.0]
     )
     assert not res.success
     assert res.halted
-    assert res.s_side == ()
+    assert res.s_side == tuple(range(8))
+    assert res.t_side == ()
+
+
+def test_set_find_splits_unequal_clusters_at_the_origin():
+    # the +-1 cut embedding with sides 6 and 2, the p = 2 solution of
+    # gnp8_seed4: a median split would centre on the larger side (median 1)
+    # and leave S' empty
+    e = Embedding(np.array([[1.0]] * 6 + [[-1.0]] * 2))
+    res = modified_set_find(
+        e, e.distance_matrix() ** 2, np.random.default_rng(0),
+        delta=delta_target(8, 2.0), c_prime=1 / 16, sigma=1.0, direction=[1.0],
+    )
+    assert res.success
+    assert res.s_side == (0, 1, 2, 3, 4, 5)
+    assert res.t_side == (6, 7)
+    assert res.deleted_pairs == ()
 
 
 def test_set_find_fixture_overlarge_delta_deletes_everything():
@@ -113,8 +129,8 @@ def test_set_find_success_is_separated():
 
 
 def reference_set_find(e, dist, rng, *, delta, c_prime, sigma=1.0, direction=None):
-    """modified_set_find as written with np.median, per-index comprehensions
-    and np.linalg.norm: the reference its results must match bit for bit."""
+    """modified_set_find as written with per-index comprehensions and
+    np.linalg.norm: the reference its results must match bit for bit."""
     n, d = e.n, e.d
     if direction is not None:
         u = np.asarray(direction, dtype=float)
@@ -122,10 +138,9 @@ def reference_set_find(e, dist, rng, *, delta, c_prime, sigma=1.0, direction=Non
         u = rng.standard_normal(d)
         u = u / np.linalg.norm(u)
     proj = e.vectors @ u
-    med = float(np.median(proj))
     margin = sigma / (2.0 * math.sqrt(d))
-    s_prime = [i for i in range(n) if proj[i] >= med + margin]
-    t_prime = [i for i in range(n) if proj[i] <= med - margin]
+    s_prime = [i for i in range(n) if proj[i] >= margin]
+    t_prime = [i for i in range(n) if proj[i] <= -margin]
     threshold = 2.0 * c_prime * n
     if len(s_prime) <= threshold or len(t_prime) <= threshold:
         return SetFindResult(False, tuple(s_prime), tuple(t_prime), True, ())
@@ -175,7 +190,7 @@ def set_find_cases(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(set_find_cases())
-def test_set_find_matches_np_median_reference_bit_for_bit(case):
+def test_set_find_matches_reference_bit_for_bit(case):
     e, p, direction, params, seed = case
     dist = e.distance_matrix() ** p
     got = modified_set_find(e, dist, np.random.default_rng(seed), direction=direction, **params)
@@ -186,36 +201,6 @@ def test_set_find_matches_np_median_reference_bit_for_bit(case):
     u = random_unit_vector(e.d, np.random.default_rng(seed))
     ref = np.random.default_rng(seed).standard_normal(e.d)
     assert u.tobytes() == (ref / np.linalg.norm(ref)).tobytes()
-
-
-MEDIAN_ENTRIES = st.one_of(
-    st.floats(allow_nan=False, width=64),
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, 5e-324, math.inf, math.nan]),
-)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(MEDIAN_ENTRIES, min_size=1, max_size=24))
-def test_projection_median_is_np_median_bit_for_bit(values):
-    a = np.array(values)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf + inf, inf - inf
-        got, want = projection_median(a), float(np.median(a))
-    if want == 0.0:
-        # sort and partition may order equal zeros differently; the sign of
-        # a zero median cannot move a margin test
-        assert got == 0.0
-    else:
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
-def test_projection_median_examples():
-    assert projection_median(np.array([3.0, 1.0, 2.0])) == 2.0
-    assert projection_median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.5
-    assert math.isnan(projection_median(np.array([0.0, math.nan, 1.0])))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the midpoint is np.median's (a + b) / 2, overflow and all
-        assert projection_median(np.array([1e308, 1.5e308])) == math.inf
-        assert math.isnan(projection_median(np.array([-math.inf, math.inf])))
 
 
 def test_check_separated_examples():
