@@ -204,6 +204,10 @@ def test_embedding_from_gram_identity_and_ones():
     e1 = embedding_from_gram(GramForm(np.ones((4, 4))))
     assert e1.d == 1
     assert np.allclose(e1.vectors @ e1.vectors.T, np.ones((4, 4)), atol=1e-12)
+    # rank 0: one zero coordinate per vertex, not an n x 0 array
+    e0 = embedding_from_gram(GramForm(np.zeros((3, 3))))
+    assert e0.vectors.shape == (3, 1)
+    assert not e0.vectors.any()
 
 
 def test_embedding_from_gram_rejects_indefinite():
@@ -236,6 +240,28 @@ def test_z_conversion_examples():
     assert np.array_equal(
         gram_from_z(z_from_gram(GramForm(np.eye(3)))).matrix, np.eye(3)
     )
+
+
+ASYMMETRIC = [[0.0, 1.0], [0.5, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Embedding.from_json('{"n": 3, "d": 1, "vectors": [[1.0], [-1.0]]}'),
+         r"vector array shape \(2, 1\) does not match n=3, d=1"),
+        (lambda: GramForm(np.ones((2, 3))), r"Gram matrix must be square, got shape \(2, 3\)"),
+        (lambda: GramForm(np.ones(3)), r"Gram matrix must be square, got shape \(3,\)"),
+        (lambda: GramForm(ASYMMETRIC), "Gram matrix must be symmetric"),
+        (lambda: ZForm(np.zeros((3, 2))), r"Z matrix must be square, got shape \(3, 2\)"),
+        (lambda: ZForm(ASYMMETRIC), "Z matrix must be symmetric"),
+    ],
+    ids=("embedding-shape", "gram-not-square", "gram-vector", "gram-asymmetric",
+         "z-not-square", "z-asymmetric"),
+)
+def test_forms_reject_malformed_input(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_zform_forces_zero_diagonal():

@@ -66,12 +66,35 @@ def test_load_missing_header():
         # ... nor silently adds vertices
         ("p edge 3 1\ne 1 2\np edge 5 0", "line 3: second problem line"),
         ("c empty\np edge 0 0", "line 2: vertex count must be positive, got 0"),
+        ("c short\np edge 3", "line 2: malformed problem line 'p edge 3'"),
+        ("e 1 2\np edge 3 1", "line 1: edge before problem line"),
+        ("p edge 3 1\ne 1 2 3", "line 2: edge line must be 'e i j'"),
+        ("p edge 3 1\n\ne 2 2", "line 3: self-loop at vertex 2"),
+        ("p edge 3 1\nx 1 2", "line 2: unrecognized line 'x 1 2'"),
+        ("c only comments\n", "missing 'p edge n m' line"),
     ],
-    ids=("second-p-smaller", "second-p-larger", "zero-vertices"),
+    ids=("second-p-smaller", "second-p-larger", "zero-vertices", "short-p", "edge-before-p",
+         "edge-fields", "self-loop", "unrecognized", "no-p"),
 )
 def test_load_dimacs_problem_line_errors_name_the_line(text, message):
     with pytest.raises(GraphParseError, match=f"^{message}$"):
         load_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# n m\n3 1 2\n0 1", "line 2: header must be 'n m', got '3 1 2'"),
+        ("3 x\n0 1", "line 1: header must be two integers"),
+        ("0 0", "line 1: need n >= 1 and m >= 0"),
+        ("3 -1", "line 1: need n >= 1 and m >= 0"),
+        ("3 1\n\n0 b", "line 3: edge endpoints must be integers"),
+    ],
+    ids=("header-fields", "header-not-int", "zero-vertices", "negative-edges", "edge-not-int"),
+)
+def test_load_graph_errors_name_the_line(text, message):
+    with pytest.raises(GraphParseError, match=f"^{message}$"):
+        load_graph(text)
 
 
 def test_cut_size_examples():
@@ -192,3 +215,7 @@ def test_graph_rejects_bad_edges():
         Graph(3, ((0, 3),))
     with pytest.raises(ValueError):
         Graph(3, ((1, 1),))
+    with pytest.raises(ValueError, match="^vertex count must be positive, got 0$"):
+        Graph(0)
+    with pytest.raises(ValueError, match="^cut member 3 out of range for n=3$"):
+        cut_size(Graph(3, ((0, 1),)), Cut({0, 3}))
