@@ -185,109 +185,9 @@ class PipelineOptions:
             raise ValueError(f"retries must be >= 1, got {self.retries}")
 
 
-# Every set-find attempt draws from `attempt_rng(seed, attempt)`.
-# default_rng hashes that entropy with numpy's SeedSequence and seeds PCG64
-# from the first four 64-bit words it generates; numpy keeps both algorithms
-# fixed (NEP 19).  `_pcg64_seeds` runs the same hash for a block of attempts
-# at once in uint32 arrays, so an attempt past the first few costs one state
-# assignment instead of a SeedSequence and a PCG64 built for it alone.
-_U32 = np.uint32
-_MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-_ATTEMPT_BLOCK = 64
-# a block's hash costs about as much as seeding 8-10 attempts one at a time
-_SEEDED_ALONE = 8
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """SeedSequence's hash constants: init, init*mult, ... mod 2^32, as a column."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=_U32)[:, None]
-
-
-_GEN_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
-
-
-def _uint32_words(x: int) -> list:
-    """x as SeedSequence reads an int: little-endian 32-bit words, [0] for 0."""
-    words = [x & 0xFFFFFFFF]
-    while x >> 32:
-        x >>= 32
-        words.append(x & 0xFFFFFFFF)
-    return words
-
-
-def _pcg64_seeds(seed: int, start: int, stop: int) -> list:
-    """PCG64 (state, inc) of default_rng([seed, 7_919, a]) for a in
-    [start, stop), attempts with one word count: SeedSequence's entropy mix
-    and its generate_state(4, uint64), one column per attempt, then PCG64's
-    seeding."""
-    head = _uint32_words(seed) + [7_919]
-    tail = len(_uint32_words(stop - 1))
-    rows = max(len(head) + tail, 4)  # the pool holds 4 words; absent ones hash 0
-    entropy = np.zeros((rows, stop - start), dtype=_U32)
-    entropy[: len(head)] = np.array(head, dtype=_U32)[:, None]
-    attempts = np.arange(start, stop, dtype=np.uint64)
-    for w in range(tail):
-        entropy[len(head) + w] = (attempts >> np.uint64(32 * w)) & np.uint64(0xFFFFFFFF)
-    mix_consts = _hash_consts(0x43B0D7E5, 0x931E8875, 4 + 12 + 4 * (rows - 4))
-
-    def hashmix(v, k, m):
-        v = (v ^ mix_consts[k : k + m]) * mix_consts[k + 1 : k + m + 1]
-        return v ^ (v >> _U32(16))
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y
-        return r ^ (r >> _U32(16))
-
-    pool = hashmix(entropy[:4], 0, 4)
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
-    for src in range(4, rows):
-        pool = mix(pool, hashmix(entropy[src], 16 + 4 * (src - 4), 4))
-    words = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _GEN_CONSTS[:8]) * _GEN_CONSTS[1:]
-    words = (words ^ (words >> _U32(16))).astype(np.uint64)
-    seeds = []
-    for s_hi, s_lo, i_hi, i_lo in (words[0::2] | (words[1::2] << np.uint64(32))).T.tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return seeds
-
-
 def attempt_rng(seed: int, attempt: int):
     """Independent, reproducible stream for one set-find attempt."""
     return np.random.default_rng([seed, 7_919, attempt])
-
-
-def attempt_rngs(seed: int, start: int, stop: int):
-    """The generators of set-find attempts start, ..., stop - 1, each drawing
-    what attempt_rng(seed, attempt) draws.  The first _SEEDED_ALONE are
-    attempt_rng's own, since most successful pipelines stop within them.
-    Later attempts share one generator, re-seeded in place from a block
-    hash: use each before taking the next."""
-    lo = min(start + _SEEDED_ALONE, stop)
-    for attempt in range(start, lo):
-        yield attempt_rng(seed, attempt)
-    if lo == stop:
-        return
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    while lo < stop:
-        # aligned blocks, so no block mixes attempts below and above 2^32
-        hi = min((lo // _ATTEMPT_BLOCK + 1) * _ATTEMPT_BLOCK, stop)
-        for state, inc in _pcg64_seeds(seed, lo, hi):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
-        lo = hi
 
 
 def pipeline(
@@ -326,7 +226,8 @@ def pipeline(
 
     dist = embedding.distance_matrix() ** p
     cut, attempts = None, opts.retries
-    for attempt, rng in enumerate(attempt_rngs(opts.seed, 0, opts.retries)):
+    for attempt in range(opts.retries):
+        rng = attempt_rng(opts.seed, attempt)
         found = modified_set_find(
             embedding, dist, rng, delta=delta, c_prime=c / 4.0, sigma=opts.sigma
         )

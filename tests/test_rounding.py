@@ -13,7 +13,6 @@ from sepkit.rounding import (
     RoundingError,
     SetFindResult,
     attempt_rng,
-    attempt_rngs,
     check_separated,
     delta_target,
     gaussian_projection_test,
@@ -338,26 +337,6 @@ def test_attempt_rng_streams_are_stable():
     c = attempt_rng(5, 1).standard_normal(3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-# seeds of one, two and five 32-bit words; attempts on both sides of 2^32,
-# where an attempt takes a second word; up to 140 attempts, so both the ones
-# seeded alone and those seeded from block hashes are checked
-ATTEMPT_SEEDS = st.one_of(
-    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**128, 2**130)
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ATTEMPT_SEEDS, st.sampled_from([0, 1, 63, 64, 100, 2**32 - 70, 2**32]), st.integers(1, 140))
-def test_attempt_rngs_are_default_rng_streams(seed, start, count):
-    drawn = 0
-    for attempt, rng in zip(range(start, start + count), attempt_rngs(seed, start, start + count)):
-        ref = np.random.default_rng([seed, 7_919, attempt])
-        assert rng.bit_generator.state == ref.bit_generator.state, attempt
-        assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
-        drawn += 1
-    assert drawn == count
 
 
 def test_gaussian_projection_bounds():
