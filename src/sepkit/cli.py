@@ -28,8 +28,8 @@ def _read_graph(path):
     return load_graph(Path(path).read_text())
 
 
-def _emit(record, out_path):
-    text = record_to_json(record)
+def _emit(text, out_path):
+    """Write text to out_path, or to stdout when there is none."""
     if out_path:
         Path(out_path).write_text(text)
     else:
@@ -47,7 +47,7 @@ def cmd_exact(args):
         {"graph": args.graph, "c": args.c},
         {"n": g.n, "m": g.m, "value": value, "cut_members": list(cut.sorted_members())},
     )
-    _emit(record, args.out)
+    _emit(record_to_json(record), args.out)
     return EXIT_OK
 
 
@@ -86,7 +86,7 @@ def cmd_solve(args):
             **asdict(report.residuals),
         },
     )
-    _emit(record, args.out)
+    _emit(record_to_json(record), args.out)
     return EXIT_OK
 
 
@@ -146,18 +146,14 @@ def cmd_pipeline(args):
                 record = experiment_record("pipeline", config, row)
                 name = Path(row["graph"]).stem
                 (rec_dir / f"{name}.record.json").write_text(record_to_json(record))
-        csv_text = batch_rows_to_csv(rows)
-        if args.out_csv:
-            Path(args.out_csv).write_text(csv_text)
-        else:
-            sys.stdout.write(csv_text)
+        _emit(batch_rows_to_csv(rows), args.out_csv)
         failures = [r for r in rows if not r["succeeded"]]
         return EXIT_FAILURE if failures else EXIT_OK
 
     g = _read_graph(args.graph)
     report, results = _run_single_pipeline(g, Path(args.graph).name, args)
     record = experiment_record("pipeline", _pipeline_config(args.graph, args), results)
-    _emit(record, args.out)
+    _emit(record_to_json(record), args.out)
     return EXIT_OK if report.succeeded else EXIT_FAILURE
 
 
@@ -174,12 +170,7 @@ def cmd_verify(args):
 
 
 def cmd_convert_dimacs(args):
-    g = load_dimacs(Path(args.input).read_text())
-    text = dump_graph(g)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(dump_graph(load_dimacs(Path(args.input).read_text())), args.out)
     return EXIT_OK
 
 
@@ -195,7 +186,7 @@ def cmd_gaussian_test(args):
             "bound_high": result.bound_high,
         },
     )
-    _emit(record, args.out)
+    _emit(record_to_json(record), args.out)
     return EXIT_OK
 
 

@@ -25,11 +25,9 @@ from .embeddings import (
     GramForm,
     RelaxationParams,
     ZForm,
-    check_feasibility,
     gram_from_z,
     objective_gradient,
     objective_z,
-    z_from_gram,
     zform_spread_requirement,
 )
 from .graphs import (
@@ -40,9 +38,13 @@ from .graphs import (
     exact_balanced_separator,
     require_balanced_sizes,
 )
-from .sdp import SolveReport, cut_z_matrix, solve_sdp
+from .sdp import SolveReport, cut_z_matrix, solve_report, solve_sdp
 
 CONCAVE_N_CAP = 24
+# up to this n the cut starts are drawn from every balanced cut, which
+# `brute_force_cut_values` lists one by one in Python; above it they are
+# sampled at random
+CUT_ENUMERATION_N_MAX = 12
 STARTS = 4  # default multistart width of every p < 2 solve
 
 
@@ -68,7 +70,7 @@ def _cut_start_members(g: Graph, c: float, starts: int, rng):
     """Deterministic list of cut member-sets to seed the multistart: the best
     balanced cut first, then a seeded sample of the others (canonical side
     contains vertex 0, so complements collapse)."""
-    if g.n <= 12:
+    if g.n <= CUT_ENUMERATION_N_MAX:
         pool = []
         for members, value in brute_force_cut_values(g, c):
             if 0 in members:
@@ -121,8 +123,7 @@ def _descend(g, c, p, z_start, f_start, seed):
         result = core.minimize_linear_zform(grad, p, rhs, z, tol=feas_tol, seed=seed)
         iterations += result.iterations
         converged = converged and result.converged
-        znew = ZForm(result.z)
-        return znew.matrix, objective_z(g, znew, p)
+        return result.z, objective_z(g, result.z, p)
 
     def linearize(z, f, feas_tol):
         """Step until a step gains less than INNER_TOL, at most MAX_OUTER
@@ -135,13 +136,13 @@ def _descend(g, c, p, z_start, f_start, seed):
         return z, f, False
 
     # loose exploration
-    z, f, _ = linearize(np.asarray(z_start, dtype=float), f_start, LOOSE_TOL)
+    z, f, _ = linearize(z_start, f_start, LOOSE_TOL)
 
     # tight landing: anchor at a point that is feasible at solver precision
     # and no worse than the start
     z1, f1 = subproblem(z, TIGHT_TOL)
     if f1 > f_start:
-        z1, f1 = np.asarray(z_start, dtype=float), f_start
+        z1, f1 = z_start, f_start
     if z1.tobytes() == z.tobytes():
         # the landing stayed put, or fell back to the start it never left:
         # the tight loop's first step would repeat it and stop there
@@ -155,32 +156,31 @@ def _descend(g, c, p, z_start, f_start, seed):
 def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOptions()):
     """Multistart linearization descent for 0 < p < 2; returns (ZForm, SolveReport).
 
-    Start list: opts.starts - 1 balanced-cut matrices (the best cut plus a
-    seeded sample of others, complements deduplicated), and the Z of the
-    p = 2 solution as the last start.  The reported value never exceeds the
+    Start list: max(opts.starts - 1, 1) balanced-cut matrices (the best cut
+    plus a seeded sample of others, complements deduplicated), then, when
+    opts.starts >= 2, the Z of the p = 2 solution as the last start; so
+    starts = 1 is the best cut alone.  The reported value never exceeds the
     value at any start; ties across starts resolve to the earliest one.
     Invalid (p, c) or balance raises before any work, as in `solve_sdp`.
     """
     require_balanced_sizes(g.n, c)
-    params = RelaxationParams(p, c)
+    RelaxationParams(p, c)  # rejects p outside (0, 2]
     if not p < 2.0:
         raise ValueError(f"solve_concave needs p < 2, got {p}")
     if g.n > CONCAVE_N_CAP:
         raise ValueError(f"n={g.n} beyond the desk-scale cap {CONCAVE_N_CAP}")
     rng = np.random.default_rng(opts.seed)
-    starts = []
-    for members in _cut_start_members(g, c, max(opts.starts - 1, 1), rng):
-        starts.append(cut_z_matrix(g, members))
+    members = _cut_start_members(g, c, max(opts.starts - 1, 1), rng)
+    starts = [cut_z_matrix(g, m) for m in members]
     if opts.starts >= 2:
         x_sdp, _ = solve_sdp(g, c, seed=opts.seed)
-        starts.append(z_from_gram(x_sdp).matrix)
+        starts.append(1.0 - x_sdp.matrix)
 
     best = None
     total_iter = 0
     certified = converged = False
     for z0 in starts:
-        f0 = objective_z(g, ZForm(z0), p)
-        z, f, iters, cert, conv = _descend(g, c, p, z0, f0, opts.seed)
+        z, f, iters, cert, conv = _descend(g, c, p, z0, objective_z(g, z0, p), opts.seed)
         total_iter += iters
         if best is None or f < best[0] - 1e-15:
             best = (f, z)
@@ -189,12 +189,7 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
         raise core.NonconvergedError(f"no linearization fixed point within MAX_OUTER={MAX_OUTER}")
     value, z = best
     zform = ZForm(z)
-    report = SolveReport(
-        value=value,
-        residuals=check_feasibility(zform.matrix, params, TIGHT_TOL, TIGHT_TOL),
-        iterations=total_iter,
-        converged=converged,
-    )
+    report = solve_report(zform.matrix, value, p, c, TIGHT_TOL, total_iter, converged)
     return zform, report
 
 

@@ -209,14 +209,14 @@ def gram_from_z(z: ZForm) -> GramForm:
     return GramForm(x)
 
 
-def objective_z(g: Graph, z: ZForm, p: float) -> float:
-    """(1/2^(p/2)) * sum over edges of z_ij^(p/2); equals the vector-form
-    objective whenever z derives from an embedding.  Rejects an edge entry
-    below -1e-9."""
+def objective_z(g: Graph, z: np.ndarray, p: float) -> float:
+    """(1/2^(p/2)) * sum over edges of z_ij^(p/2) for an n x n Z array;
+    equals the vector-form objective whenever z derives from an embedding.
+    Rejects an edge entry below -1e-9."""
     ea = g.edge_array()
     if len(ea) == 0:
         return 0.0
-    vals = z.matrix[ea[:, 0], ea[:, 1]]
+    vals = z[ea[:, 0], ea[:, 1]]
     if np.min(vals, initial=0.0) < -1e-9:
         raise ValueError(f"negative z entry {vals.min():.3e} outside tolerance")
     vals = np.maximum(vals, 0.0)

@@ -67,6 +67,15 @@ class Cut:
                 raise ValueError(f"cut member {v} out of range for n={g.n}")
 
 
+def _ints(fields, lineno, what):
+    """The fields as ints; GraphParseError "line {lineno}: {what}" when one
+    is not an integer."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: {what}") from None
+
+
 def load_graph(text: str) -> Graph:
     """Parse the edge-list format: header "n m", then "i j" lines.
 
@@ -84,20 +93,14 @@ def load_graph(text: str) -> Graph:
         if header is None:
             if len(parts) != 2:
                 raise GraphParseError(f"line {lineno}: header must be 'n m', got {raw!r}")
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: header must be two integers") from None
+            n, m = _ints(parts, lineno, "header must be two integers")
             if n < 1 or m < 0:
                 raise GraphParseError(f"line {lineno}: need n >= 1 and m >= 0")
             header = (n, m)
             continue
         if len(parts) != 2:
             raise GraphParseError(f"line {lineno}: edge line must be 'i j', got {raw!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: edge endpoints must be integers") from None
+        i, j = _ints(parts, lineno, "edge endpoints must be integers")
         n = header[0]
         if not (0 <= i < n and 0 <= j < n):
             bad = i if not (0 <= i < n) else j
@@ -130,10 +133,7 @@ def load_dimacs(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: second problem line")
             if len(parts) < 4:
                 raise GraphParseError(f"line {lineno}: malformed problem line {raw!r}")
-            try:
-                n, _ = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: 'p edge n m' needs integers") from None
+            n, _ = _ints(parts[2:4], lineno, "'p edge n m' needs integers")
             if n < 1:
                 raise GraphParseError(f"line {lineno}: vertex count must be positive, got {n}")
         elif parts[0] == "e":
@@ -141,10 +141,7 @@ def load_dimacs(text: str) -> Graph:
                 raise GraphParseError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise GraphParseError(f"line {lineno}: edge line must be 'e i j'")
-            try:
-                i, j = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: edge endpoints must be integers") from None
+            i, j = (k - 1 for k in _ints(parts[1:], lineno, "edge endpoints must be integers"))
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphParseError(f"line {lineno}: vertex id out of range")
             if i == j:

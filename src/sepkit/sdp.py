@@ -16,12 +16,11 @@ import numpy as np
 from . import solver_core as core
 from .embeddings import (
     FeasibilityReport,
+    GramForm,
     RelaxationParams,
     check_feasibility,
-    gram_from_z,
     objective_gradient,
     zform_spread_requirement,
-    ZForm,
 )
 from .graphs import Graph, exact_balanced_separator, require_balanced_sizes
 
@@ -37,6 +36,13 @@ class SolveReport:
     residuals: FeasibilityReport
     iterations: int
     converged: bool  # False when a solver loop stopped at its round or step cap
+
+
+def solve_report(z, value, p, c, tol, iterations, converged) -> SolveReport:
+    """The report of a solve that returns the Z array z: its residuals from
+    one `check_feasibility` at tol on the triangles and the spread."""
+    residuals = check_feasibility(z, RelaxationParams(p, c), tol, tol)
+    return SolveReport(value, residuals, iterations, converged)
 
 
 def cut_z_matrix(g: Graph, members) -> np.ndarray:
@@ -65,7 +71,6 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
     iteration budget.
     """
     require_balanced_sizes(g.n, c)
-    params = RelaxationParams(2.0, c)
     if g.n > SDP_N_CAP:
         raise ValueError(f"n={g.n} beyond the desk-scale cap {SDP_N_CAP}")
     z0 = warm_start_z(g, c)
@@ -77,12 +82,10 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
         tol=Z_TOL,
         seed=seed,
     )
-    report = SolveReport(
-        # <C, Z> lands ulps below 0 when z_ij = 1 - x_ij does on every edge;
-        # objective_z clamps z at 0 the same way (NaN stays NaN)
-        value=max(result.value, 0.0),
-        residuals=check_feasibility(result.z, params, Z_TOL, Z_TOL),
-        iterations=result.iterations,
-        converged=result.converged,
+    # <C, Z> lands ulps below 0 when z_ij = 1 - x_ij does on every edge;
+    # objective_z clamps z at 0 the same way (NaN stays NaN)
+    value = max(result.value, 0.0)
+    report = solve_report(
+        result.z, value, 2.0, c, Z_TOL, result.iterations, result.converged
     )
-    return gram_from_z(ZForm(result.z)), report
+    return GramForm(1.0 - result.z), report

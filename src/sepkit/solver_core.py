@@ -375,11 +375,11 @@ def minimize_linear_zform(
     v = factor_correlation(1.0 - z_start, rng)
     mu = 0.0
     # active triples, kept across rounds: their codes (see
-    # scan_triangle_violations), their flat indices into Z (see
-    # triangle_flat_indices) and one multiplier each
+    # scan_triangle_violations) and one multiplier each; flat, their indices
+    # into Z, follows from the codes
     active = np.zeros(0, dtype=np.int64)
-    flat = np.zeros(0, dtype=np.int64)
     nu = np.zeros(0)
+    flat = triangle_flat_indices(active, n)
     rho = 1.0
     used = 0
     rounds = 0
@@ -392,7 +392,7 @@ def minimize_linear_zform(
         rounds += 1
         budget = min(INNER_STEPS, MAX_EVALS - used)
         v, took, pgd_conv = _al_round(v, c_unit, rhs, p, mu, rho, flat, nu, budget)
-        used += max(took, 1)
+        used += took
         z = z_of_factor(v)
         slack = spread_sum(z) - rhs
         # one triangle pass per round: the scan is empty exactly when the
@@ -424,8 +424,7 @@ def minimize_linear_zform(
         fresh = codes[~np.isin(codes, active)][:batch]
         if len(fresh):
             active = np.concatenate([active, fresh])
-            new = triangle_flat_indices(fresh, n).reshape(3, -1)
-            flat = np.concatenate([flat.reshape(3, -1), new], axis=1).ravel()
+            flat = triangle_flat_indices(active, n)
             nu = np.concatenate([nu, np.zeros(len(fresh))])
         # two-sided penalty adaptation: grow on stalls, shrink once feasible so
         # the quadratic wall does not choke tangent progress along the boundary

@@ -26,7 +26,6 @@ from .corpus import (
 from .embeddings import (
     Embedding,
     RelaxationParams,
-    ZForm,
     check_feasibility,
     embedding_from_gram,
     gram_from_embedding,
@@ -95,10 +94,8 @@ def suite_concavity(seed: int = 0) -> SuiteResult:
             z2 = random_feasible_z(cut_mats, 0.25, rng)
             lam = float(rng.random())
             mix = lam * z1 + (1.0 - lam) * z2
-            lhs = objective_z(g, ZForm(mix), p)
-            rhs = lam * objective_z(g, ZForm(z1), p) + (1.0 - lam) * objective_z(
-                g, ZForm(z2), p
-            )
+            lhs = objective_z(g, mix, p)
+            rhs = lam * objective_z(g, z1, p) + (1.0 - lam) * objective_z(g, z2, p)
             worst = min(worst, lhs - rhs)
         res.add(worst >= -SLACK, f"p={p}: min(obj(mix) - mix(obj)) = {worst:.3e} >= -{SLACK}")
     return res

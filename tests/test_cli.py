@@ -377,6 +377,17 @@ def test_convert_dimacs(tmp_path, capsys):
     assert capsys.readouterr().out == "3 2\n0 1\n1 2\n"
 
 
+def test_convert_dimacs_out_writes_what_it_prints(tmp_path, capsys):
+    src = tmp_path / "g.dimacs"
+    src.write_text("c hello\np edge 3 2\ne 1 2\ne 2 3\n")
+    assert main(["convert-dimacs", "--in", str(src)]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "g.txt"
+    assert main(["convert-dimacs", "--in", str(src), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+
 def test_convert_dimacs_rejects_garbage(tmp_path, capsys):
     src = tmp_path / "g.dimacs"
     for text, message in [("p edge 3 1\ne 1 9\n", "line 2: vertex id out of range"),
@@ -454,6 +465,21 @@ def test_solve_then_round_artifact_flow(c4_file, tmp_path, capsys):
     )
     assert code == 0
     assert rec["results"]["succeeded"]
+
+
+def test_pipeline_out_writes_the_record_it_prints(c4_file, tmp_path, capsys):
+    # the round-cli form: a stored embedding and value, the record to --out
+    emb = tmp_path / "emb.json"
+    emb.write_text(cut_to_embedding(cycle_graph(4), Cut({0, 1})).to_json())
+    argv = ["pipeline", "--graph", str(c4_file), "--p", "1.0", "--c", "0.25",
+            "--embedding", str(emb), "--relaxation-value", "2.0", "--seed", "5"]
+    code, printed = run_json(capsys, argv)
+    assert code == 0
+    out = tmp_path / "rec.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    written = json.loads(out.read_text())
+    assert strip_timestamp(written) == strip_timestamp(printed)
 
 
 def test_solve_then_round_two_triangles_at_p2(tmp_path, capsys):

@@ -14,7 +14,6 @@ from sepkit.concave import (
 )
 from sepkit.corpus import acceptance_corpus, complete_graph, cycle_graph, gnp_graph, path_graph
 from sepkit.embeddings import (
-    ZForm,
     cut_to_embedding,
     gram_from_z,
     objective_gradient,
@@ -227,13 +226,16 @@ def test_solve_concave_local_minimality_certificate():
     znext = core.minimize_linear_zform(
         grad, 1.0, zform_spread_requirement(g.n, C), z.matrix, tol=1e-6, seed=0
     ).z
-    improvement = rep.value - objective_z(g, ZForm(znext), 1.0)
+    improvement = rep.value - objective_z(g, znext, 1.0)
     assert improvement < concave.INNER_TOL
 
 
-@pytest.mark.parametrize("n", [14, 22])
+@pytest.mark.parametrize(
+    "n", [concave.CUT_ENUMERATION_N_MAX + 2, graphs.BRUTE_FORCE_CAP + 2]
+)
 def test_cut_starts_sampled_beyond_enumeration(n):
-    # n > 12 samples the starts; the exact cut leads while the oracle runs
+    # n > CUT_ENUMERATION_N_MAX samples the starts; the exact cut leads
+    # while the oracle runs
     g = gnp_graph(n, 0.3, 1)
     starts = 6
     picks = concave._cut_start_members(g, C, starts, np.random.default_rng(0))
@@ -243,7 +245,7 @@ def test_cut_starts_sampled_beyond_enumeration(n):
         assert 0 in members
         assert is_c_balanced(g, Cut(members), C)
     exact = exact_balanced_separator(g, C)
-    assert (exact is None) == (n == 22)
+    assert (exact is None) == (n > graphs.BRUTE_FORCE_CAP)
     if exact is not None:
         assert picks[0] == set(exact[0].members)
 
@@ -265,16 +267,14 @@ def test_objective_concavity_along_segments():
     for p in P_INNER:
         # a cut matrix's objective is its cut value at every exponent
         for z, (_, value) in zip(zs, cuts):
-            assert objective_z(g, ZForm(z), p) == pytest.approx(value, abs=1e-12)
+            assert objective_z(g, z, p) == pytest.approx(value, abs=1e-12)
         for _ in range(200):
             picks = rng.choice(len(cuts), size=2, replace=False)
             z1, z2 = zs[picks[0]], zs[picks[1]]
             lam = rng.random()
             mix = lam * z1 + (1 - lam) * z2
-            lhs = objective_z(g, ZForm(mix), p)
-            rhs = lam * objective_z(g, ZForm(z1), p) + (1 - lam) * objective_z(
-                g, ZForm(z2), p
-            )
+            lhs = objective_z(g, mix, p)
+            rhs = lam * objective_z(g, z1, p) + (1 - lam) * objective_z(g, z2, p)
             assert lhs >= rhs - 1e-9
 
 
@@ -285,6 +285,10 @@ def test_grid_oracle_edge_cases():
         grid_oracle_n3(complete_graph(3), C, 1.0, 0.0)
     with pytest.raises(ValueError):
         grid_oracle_n3(complete_graph(4), C, 1.0, 0.05)
+    with pytest.raises(ValueError, match=r"^resolution 0\.001 needs 2001\^3 grid points$"):
+        grid_oracle_n3(complete_graph(3), C, 1.0, 0.001)
+    with pytest.raises(InfeasibleBalanceError, match="^grid contains no feasible point$"):
+        grid_oracle_n3(complete_graph(3), 0.5, 1.0, 0.3)
 
 
 def test_grid_oracle_agrees_with_solvers_on_k3():

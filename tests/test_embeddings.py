@@ -274,16 +274,16 @@ def test_objective_z_examples():
     g = cycle_graph(4)
     zcut = z_from_gram(gram_from_embedding(cut_to_embedding(g, Cut({0, 1}))))
     for p in P_GRID:
-        assert objective_z(g, zcut, p) == pytest.approx(2.0, abs=1e-12)
-    assert objective_z(g, ZForm(np.zeros((4, 4))), 1.0) == 0.0
+        assert objective_z(g, zcut.matrix, p) == pytest.approx(2.0, abs=1e-12)
+    assert objective_z(g, np.zeros((4, 4)), 1.0) == 0.0
     single = Graph(2, ((0, 1),))
-    z2 = ZForm(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    z2 = np.array([[0.0, 2.0], [2.0, 0.0]])
     assert objective_z(single, z2, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_objective_z_rejects_negative_entries():
     g = Graph(2, ((0, 1),))
-    z = ZForm(np.array([[0.0, -0.5], [-0.5, 0.0]]))
+    z = np.array([[0.0, -0.5], [-0.5, 0.0]])
     with pytest.raises(ValueError):
         objective_z(g, z, 1.0)
 
@@ -296,7 +296,7 @@ def test_objective_gradient_at_p2_is_the_linear_objective():
     for seed in range(3):
         z = z_from_gram(gram_from_embedding(Embedding(random_unit_vectors(8, 4, seed)))).matrix
         c_mat = objective_gradient(g, z, 2.0)
-        assert np.sum(c_mat * z) == pytest.approx(objective_z(g, ZForm(z), 2.0), abs=1e-12)
+        assert np.sum(c_mat * z) == pytest.approx(objective_z(g, z, 2.0), abs=1e-12)
         grads.append(c_mat)
     assert all(np.array_equal(grads[0], c_mat) for c_mat in grads)
     assert np.count_nonzero(grads[0]) == 2 * g.m
@@ -312,7 +312,7 @@ def test_objective_equivalence_vector_vs_z(seed):
     e = Embedding(random_unit_vectors(n, n, seed + 1))
     z = z_from_gram(gram_from_embedding(e))
     for p in P_GRID:
-        assert abs(objective(g, e, p) - objective_z(g, z, p)) <= 1e-8
+        assert abs(objective(g, e, p) - objective_z(g, z.matrix, p)) <= 1e-8
 
 
 def test_serialization_roundtrips():
