@@ -156,10 +156,10 @@ def _descend(g, c, p, z_start, f_start, seed):
 def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOptions()):
     """Multistart linearization descent for 0 < p < 2; returns (ZForm, SolveReport).
 
-    Start list: max(opts.starts - 1, 1) balanced-cut matrices (the best cut
-    plus a seeded sample of others, complements deduplicated), then, when
-    opts.starts >= 2, the Z of the p = 2 solution as the last start; so
-    starts = 1 is the best cut alone.  The reported value never exceeds the
+    Start list: up to max(opts.starts - 1, 1) balanced-cut matrices (the
+    best cut plus a seeded sample of others, complements deduplicated),
+    then, when opts.starts >= 2, the Z of the p = 2 solution as the last
+    start; so starts = 1 is the best cut alone.  The reported value never exceeds the
     value at any start; ties across starts resolve to the earliest one.
     Invalid (p, c) or balance raises before any work, as in `solve_sdp`.
     """

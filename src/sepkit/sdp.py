@@ -85,7 +85,5 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
     # <C, Z> lands ulps below 0 when z_ij = 1 - x_ij does on every edge;
     # objective_z clamps z at 0 the same way (NaN stays NaN)
     value = max(result.value, 0.0)
-    report = solve_report(
-        result.z, value, 2.0, c, Z_TOL, result.iterations, result.converged
-    )
+    report = solve_report(result.z, value, 2.0, c, Z_TOL, result.iterations, result.converged)
     return GramForm(1.0 - result.z), report
