@@ -15,7 +15,7 @@ from .concave import STARTS, solve_relaxation
 from .embeddings import Embedding, embedding_from_gram
 from .graphs import BRUTE_FORCE_CAP, dump_graph, exact_balanced_separator, load_dimacs, load_graph
 from .records import batch_rows_to_csv, experiment_record, record_to_json
-from .rounding import PipelineOptions, gaussian_projection_test, pipeline
+from .rounding import PipelineOptions, RoundingError, gaussian_projection_test, pipeline
 from .solver_core import NonconvergedError
 from .verify import SUITES, run_suites
 
@@ -276,7 +276,7 @@ def main(argv=None):
                 parser.error(f"{flag} cannot be used with --batch")
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # parse, balance, cap and JSON errors are ValueErrors
+    except (ValueError, OSError, RoundingError) as exc:  # bad flags, files or embeddings
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonconvergedError as exc:

@@ -187,9 +187,8 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
             certified, converged = cert, conv
     if not certified:
         raise core.NonconvergedError(f"no linearization fixed point within MAX_OUTER={MAX_OUTER}")
-    value, z = best
-    zform = ZForm(z)
-    report = solve_report(zform.matrix, value, p, c, TIGHT_TOL, total_iter, converged)
+    zform = ZForm(best[1])
+    report = solve_report(g, zform.matrix, p, c, TIGHT_TOL, total_iter, converged)
     return zform, report
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, Cut
-from .solver_core import max_triangle_violation_z, spread_sum
+from .solver_core import max_triangle_violation_z, power_matrix, spread_sum
 
 TOL_UNIT = 1e-8
 TOL_PSD = 1e-7
@@ -153,13 +153,12 @@ def objective(g: Graph, e: Embedding, p: float) -> float:
     return float(np.sum(dist**p) / 2.0**p)
 
 
-def check_feasibility(z, params: RelaxationParams, tol_triangle, tol_spread):
+def check_feasibility(z, params: RelaxationParams, tol):
     """Residuals of a Z matrix, judged in Z units, where the solvers enforce
     their tolerance: norms sqrt(1 - z_ii) within TOL_UNIT of 1 (an
-    embedding's Z is 1 minus its Gram matrix, diagonal kept),
-    sum_{i<j} z_ij >= 2c(1-c)n^2 within tol_spread,
-    z_ik^{p/2} <= z_ij^{p/2} + z_jk^{p/2} within tol_triangle (an exact n^3
-    scan), and no eigenvalue of X = 1 - Z below -TOL_PSD.
+    embedding's Z is 1 minus its Gram matrix, diagonal kept), and within tol
+    both sum_{i<j} z_ij >= 2c(1-c)n^2 and z_ik^{p/2} <= z_ij^{p/2} + z_jk^{p/2}
+    (an exact n^3 scan); no eigenvalue of X = 1 - Z below -TOL_PSD.
 
     Reported in vector units, where ||v_i - v_j||^2 = 2 z_ij: the spread
     slack times 2 and the triangle violation times 2^{p/2}.
@@ -171,8 +170,8 @@ def check_feasibility(z, params: RelaxationParams, tol_triangle, tol_spread):
     min_eig = float(np.linalg.eigvalsh(1.0 - z)[0])
     ok = (
         unit <= TOL_UNIT
-        and tri <= tol_triangle
-        and slack >= -tol_spread
+        and tri <= tol
+        and slack >= -tol
         and min_eig >= -TOL_PSD
     )
     return FeasibilityReport(unit, 2.0 ** (params.p / 2.0) * tri, 2.0 * slack, min_eig, ok)
@@ -210,17 +209,16 @@ def gram_from_z(z: ZForm) -> GramForm:
 
 
 def objective_z(g: Graph, z: np.ndarray, p: float) -> float:
-    """(1/2^(p/2)) * sum over edges of z_ij^(p/2) for an n x n Z array;
-    equals the vector-form objective whenever z derives from an embedding.
-    Rejects an edge entry below -1e-9."""
+    """(1/2^(p/2)) * sum over edges of max(z_ij, 0)^(p/2) for an n x n Z
+    array; equals the vector-form objective whenever z derives from an
+    embedding.  Rejects an edge entry below -1e-9."""
     ea = g.edge_array()
     if len(ea) == 0:
         return 0.0
     vals = z[ea[:, 0], ea[:, 1]]
     if np.min(vals, initial=0.0) < -1e-9:
         raise ValueError(f"negative z entry {vals.min():.3e} outside tolerance")
-    vals = np.maximum(vals, 0.0)
-    return float(np.sum(vals ** (p / 2.0)) / 2.0 ** (p / 2.0))
+    return float(np.sum(power_matrix(vals, p)) / 2.0 ** (p / 2.0))
 
 
 def objective_gradient(g: Graph, z: np.ndarray, p: float):

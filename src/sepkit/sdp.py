@@ -20,6 +20,7 @@ from .embeddings import (
     RelaxationParams,
     check_feasibility,
     objective_gradient,
+    objective_z,
     zform_spread_requirement,
 )
 from .graphs import Graph, exact_balanced_separator, require_balanced_sizes
@@ -38,11 +39,11 @@ class SolveReport:
     converged: bool  # False when a solver loop stopped at its round or step cap
 
 
-def solve_report(z, value, p, c, tol, iterations, converged) -> SolveReport:
-    """The report of a solve that returns the Z array z: its residuals from
-    one `check_feasibility` at tol on the triangles and the spread."""
-    residuals = check_feasibility(z, RelaxationParams(p, c), tol, tol)
-    return SolveReport(value, residuals, iterations, converged)
+def solve_report(g, z, p, c, tol, iterations, converged) -> SolveReport:
+    """The report of a solve of g that returns the Z array z: the value
+    `objective_z(g, z, p)` and one `check_feasibility` at tol."""
+    residuals = check_feasibility(z, RelaxationParams(p, c), tol)
+    return SolveReport(objective_z(g, z, p), residuals, iterations, converged)
 
 
 def cut_z_matrix(g: Graph, members) -> np.ndarray:
@@ -82,8 +83,5 @@ def solve_sdp(g: Graph, c: float, *, seed: int = 0):
         tol=Z_TOL,
         seed=seed,
     )
-    # <C, Z> lands ulps below 0 when z_ij = 1 - x_ij does on every edge;
-    # objective_z clamps z at 0 the same way (NaN stays NaN)
-    value = max(result.value, 0.0)
-    report = solve_report(result.z, value, 2.0, c, Z_TOL, result.iterations, result.converged)
+    report = solve_report(g, result.z, 2.0, c, Z_TOL, result.iterations, result.converged)
     return GramForm(1.0 - result.z), report

@@ -76,7 +76,6 @@ class NonconvergedError(RuntimeError):
 @dataclass
 class CoreResult:
     z: np.ndarray
-    value: float
     iterations: int
     rounds: int
     active_triangles: int
@@ -134,6 +133,7 @@ def spread_sum(z):
 
 
 def power_matrix(z, p):
+    """max(z, 0)^{p/2}: the one w that the scan, the AL kernel and objective_z read."""
     half = p / 2.0
     if half == 1.0:
         return np.maximum(z, 0.0)
@@ -203,14 +203,14 @@ _BLOCK_SIGNS = np.array([[0.5], [-0.5], [-0.5]])
 
 
 def _triangle_terms(z, flat, p):
-    """Constraint values h_t of the active triples and, as a 3 x T block, the
-    z-derivatives of w at their (i, k), (i, j) and (j, k) pairs."""
+    """Constraint values h_t of the active triples, from `power_matrix`, and
+    as a 3 x T block the z-derivatives of w at their (i, k), (i, j), (j, k)."""
     half = p / 2.0
     g = z.take(flat).reshape(3, -1)
-    if half == 1.0:
-        return g[0] - g[1] - g[2], 1.0
-    w = np.maximum(g, 0.0) ** half
+    w = power_matrix(g, p)
     h = w[0] - w[1] - w[2]
+    if half == 1.0:
+        return h, 1.0
     return h, half * np.maximum(g, Z_FLOOR) ** (half - 1.0)
 
 
@@ -440,10 +440,8 @@ def minimize_linear_zform(
 
     if best is None:
         raise NonconvergedError(f"no feasible iterate within tol={tol} after {used} steps")
-    val, z = best
     return CoreResult(
-        z=z,
-        value=val,
+        z=best[1],
         iterations=used,
         rounds=rounds,
         active_triangles=len(nu),

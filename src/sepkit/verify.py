@@ -119,7 +119,7 @@ def suite_convexity(seed: int = 0) -> SuiteResult:
             lam = float(rng.random())
             mix = lam * z1 + (1.0 - lam) * z2
             # spread and triangles judged at SLACK in Z units, PSD at -SLACK
-            rep = check_feasibility(mix, params, SLACK, SLACK)
+            rep = check_feasibility(mix, params, SLACK)
             ok = ok and rep.feasible and rep.min_eigenvalue >= -SLACK
             worst_spread = min(worst_spread, rep.spread_slack)
             worst_tri = max(worst_tri, rep.max_triangle_violation)

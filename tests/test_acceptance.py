@@ -132,7 +132,7 @@ def test_criterion_2_cut_embedding_exactness():
         for p in P_GRID:
             assert abs(objective(g, e, p) - size) <= 1e-9
             z = 1.0 - gram_from_embedding(e).matrix  # diagonal kept: unit norms
-            rep = check_feasibility(z, RelaxationParams(p, C), 1e-9, 1e-9)
+            rep = check_feasibility(z, RelaxationParams(p, C), 1e-9)
             assert rep.feasible, (n, members, p, rep)
         checked += 1
     announce(2, "cut-embedding exactness", True, f"[{checked} pairs x {len(P_GRID)} exponents]")

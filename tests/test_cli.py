@@ -171,12 +171,16 @@ def test_solve_nonconvergence_exit_1(c4_file, capsys, monkeypatch):
         ["pipeline", "--graph", "C4", "--p", "2", "--c", "0.25", "--embedding", "EMB_NAN"],
         # a batch directory without one *.txt graph
         ["pipeline", "--batch", "EMPTY", "--p", "2", "--c", "0.25"],
+        # the regular pentagon breaks the squared-distance triangle, so the
+        # threshold region of this attempt takes in a T-side vertex
+        ["pipeline", "--graph", "C5", "--p", "2", "--c", "0.25", "--embedding", "PENTAGON",
+         "--delta", "3", "--seed", "15"],
     ],
     ids=["pipeline-retries-3", "pipeline-retries0", "solve-p2-starts0", "gaussian-d0",
          "pipeline-value-without-embedding", "exact-c0", "exact-cinf", "solve-cnan",
          "pipeline-delta0", "pipeline-delta-inf", "pipeline-sigma-inf", "pipeline-value-nan",
          "pipeline-value-negative", "pipeline-value-inf", "gaussian-xnan",
-         "pipeline-embedding-nan", "pipeline-batch-empty"],
+         "pipeline-embedding-nan", "pipeline-batch-empty", "pipeline-embedding-pentagon"],
 )
 def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
     emb = cut_to_embedding(cycle_graph(4), Cut({0, 1}))
@@ -189,8 +193,13 @@ def test_out_of_range_inputs_exit_2(c4_file, capsys, argv):
     empty = c4_file.parent / "empty"
     empty.mkdir()
     (empty / "notes.md").write_text(C4_TEXT)
+    angles = 2.0 * np.pi * np.arange(5) / 5.0
+    pentagon = c4_file.parent / "pentagon.json"
+    pentagon.write_text(Embedding(np.column_stack([np.cos(angles), np.sin(angles)])).to_json())
+    c5 = c4_file.parent / "c5.txt"
+    c5.write_text(dump_graph(cycle_graph(5)))
     paths = {"C4": str(c4_file), "EMB": str(emb_path), "EMB_NAN": str(nan_path),
-             "EMPTY": str(empty)}
+             "EMPTY": str(empty), "C5": str(c5), "PENTAGON": str(pentagon)}
     code = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2

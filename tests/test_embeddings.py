@@ -32,7 +32,7 @@ TOL = 1e-8  # triangle and spread tolerance of the embedding checks, in Z units
 def check_embedding(e, params):
     """check_feasibility of an embedding's Z = 1 - X, diagonal kept, so the
     report reads the vector norms."""
-    return check_feasibility(1.0 - gram_from_embedding(e).matrix, params, TOL, TOL)
+    return check_feasibility(1.0 - gram_from_embedding(e).matrix, params, TOL)
 
 
 def random_unit_vectors(n, d, seed):
@@ -153,13 +153,13 @@ def test_z_report_flags_each_broken_constraint():
     # units (spread slack x2, triangle violation x2^{p/2})
     params = RelaxationParams(1.5, 0.25)
     cut = cut_z_matrix(cycle_graph(4), {0, 1})
-    rep = check_feasibility(cut, params, 1e-6, 1e-6)
+    rep = check_feasibility(cut, params, 1e-6)
     assert rep.feasible
     assert rep.spread_slack == pytest.approx(2.0 * (8.0 - 6.0))
 
     # spread: halving the cut Z keeps X = 1 - Z a PSD block of ones and
     # every power triangle, but the pair sum drops from 8 to 4 < 6
-    rep = check_feasibility(cut / 2.0, params, 1e-6, 1e-6)
+    rep = check_feasibility(cut / 2.0, params, 1e-6)
     assert not rep.feasible
     assert rep.spread_slack == pytest.approx(2.0 * (4.0 - 6.0))
     assert rep.max_triangle_violation <= 1e-12
@@ -170,7 +170,7 @@ def test_z_report_flags_each_broken_constraint():
     angles = np.radians([0.0, 60.0, 120.0, 180.0])
     v = np.column_stack([np.cos(angles), np.sin(angles)])
     bent = z_from_gram(gram_from_embedding(Embedding(v))).matrix
-    rep = check_feasibility(bent, params, 1e-6, 1e-6)
+    rep = check_feasibility(bent, params, 1e-6)
     assert not rep.feasible
     assert rep.max_triangle_violation == pytest.approx(3.0**0.75 - 2.0, abs=1e-12)
     assert rep.spread_slack == pytest.approx(2.0 * (6.5 - 6.0), abs=1e-12)
@@ -179,7 +179,7 @@ def test_z_report_flags_each_broken_constraint():
     # PSD: make all four vertices pairwise antipodal; triangles and spread
     # still hold, but X = 2I - J has the eigenvalue -2
     apart = 2.0 * (1.0 - np.eye(4))
-    rep = check_feasibility(apart, params, 1e-6, 1e-6)
+    rep = check_feasibility(apart, params, 1e-6)
     assert not rep.feasible
     assert rep.min_eigenvalue == pytest.approx(-2.0)
     assert rep.max_triangle_violation <= 1e-12

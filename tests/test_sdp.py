@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sepkit.corpus import (
+    acceptance_corpus,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -18,6 +19,7 @@ from sepkit.embeddings import (
     embedding_from_gram,
     gram_from_embedding,
     objective_gradient,
+    objective_z,
     z_from_gram,
     zform_spread_requirement,
 )
@@ -91,7 +93,7 @@ def test_sdp_returned_gram_is_feasible():
     # the factored embedding, read back as Z = 1 - X with its diagonal
     e = embedding_from_gram(x)
     rep = check_feasibility(
-        1.0 - gram_from_embedding(e).matrix, RelaxationParams(2.0, C), Z_TOL, Z_TOL
+        1.0 - gram_from_embedding(e).matrix, RelaxationParams(2.0, C), Z_TOL
     )
     assert rep.feasible
     assert report.residuals.feasible
@@ -161,15 +163,15 @@ def test_sdp_orthonormal_warm_start():
     g = cycle_graph(4)
     _, from_cut = solve_sdp(g, C, seed=0)
     from_ortho = solve_from_orthonormal(g)
-    assert from_ortho.value == pytest.approx(from_cut.value, abs=1e-3)
+    assert objective_z(g, from_ortho.z, 2.0) == pytest.approx(from_cut.value, abs=1e-3)
 
 
 def test_sdp_orthonormal_start_can_begin_infeasible():
     # n=2: identity Gram misses the spread bound (1 < 1.5) and the solver
     # must work its way into the feasible region
     g = Graph(2, ((0, 1),))
-    rep = solve_from_orthonormal(g)
-    assert rep.value == pytest.approx(0.75, abs=1e-3)
+    res = solve_from_orthonormal(g)
+    assert objective_z(g, res.z, 2.0) == pytest.approx(0.75, abs=1e-3)
 
 
 def test_sdp_beyond_oracle_cap_uses_orthonormal_start():
@@ -181,28 +183,120 @@ def test_sdp_beyond_oracle_cap_uses_orthonormal_start():
     assert rep.value >= 0.0
 
 
-def test_sdp_matches_conic_reference_solver():
-    """Independent route: the same program through cvxpy/SCS (test-only
-    dependency; skipped when absent)."""
-    cp = pytest.importorskip("cvxpy")
-
-    def reference_value(g, c):
-        n = g.n
-        x = cp.Variable((n, n), symmetric=True)
-        cons = [x >> 0, cp.diag(x) == 1]
+def arv_program(g, c):
+    """The p = 2 program in Gram form, built from its definition alone:
+    minimize sum_{ij in E} (1 - x_ij)/2 = m/2 + <C, X> over X PSD, where
+    <A_k, X> = 1 on the diagonal and <A_k, X> <= b_k for every triangle
+    x_ij + x_jk - x_ik <= 1 (i < k, j apart from both) and for the spread
+    sum_{i<j} x_ij <= n(n - 1)/2 - 2c(1 - c)n^2.  Returns (m/2, C, A, b),
+    A holding each symmetric A_k flattened as a row, the n equalities first."""
+    n = g.n
+    eye = np.eye(n)
+    rows = [np.outer(eye[i], eye[i]) for i in range(n)]
+    for j in range(n):
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if len({i, j, k}) == 3:
-                        cons.append(x[i, j] + x[j, k] - x[i, k] <= 1)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        cons.append(sum(1 - x[i, j] for i, j in pairs) >= 2 * c * (1 - c) * n * n)
-        objective = cp.Minimize(sum((1 - x[i, j]) / 2 for i, j in g.edges))
-        problem = cp.Problem(objective, cons)
-        problem.solve(solver=cp.SCS, eps=1e-8)
-        return problem.value
+            for k in range(i + 1, n):
+                if j not in (i, k):
+                    a = np.outer(eye[i], eye[j] - eye[k]) + np.outer(eye[j], eye[k])
+                    rows.append((a + a.T) / 2.0)
+    rows.append((1.0 - eye) / 2.0)
+    b = np.ones(len(rows))
+    b[-1] = n * (n - 1) / 2.0 - 2.0 * c * (1.0 - c) * n * n
+    c_mat = np.zeros((n, n))
+    for i, j in g.edges:
+        c_mat[i, j] = c_mat[j, i] = -0.25
+    return len(g.edges) / 2.0, c_mat, np.array([r.ravel() for r in rows]), b
 
-    for g in [complete_graph(3), cycle_graph(6), gnp_graph(7, 0.5, 2)]:
-        ref = reference_value(g, C)
-        _, rep = solve_sdp(g, C, seed=0)
-        assert rep.value == pytest.approx(ref, abs=5e-5)
+
+def step_to_boundary(inv_factor, d):
+    """Largest a with x + a d PSD, for inv_factor = L^-1 and x = L L^T."""
+    low = np.linalg.eigvalsh(inv_factor @ d @ inv_factor.T)[0]
+    return -1.0 / low if low < 0.0 else np.inf
+
+
+def ratio_to_boundary(s, ds):
+    """Largest a with s + a ds >= 0, for s > 0."""
+    neg = ds < 0.0
+    return float(np.min(-s[neg] / ds[neg])) if neg.any() else np.inf
+
+
+def ipm_reference(g, c, tol=1e-9, max_iter=50):
+    """The p = 2 optimum by a primal-dual interior-point method: the HKM
+    direction with Mehrotra's predictor-corrector (Helmberg, Rendl,
+    Vanderbei and Wolkowicz, SIAM J. Optim. 1996) on `arv_program`, each
+    inequality with a slack s >= 0 and dual slack t >= 0, from the
+    infeasible start X = Z = I.  Returns (primal, dual, iterations), where
+    dual is a weak-duality bound that holds for any multipliers y: with
+    y_k <= 0 on the inequalities, tr X = n and X PSD give
+    m/2 + <C, X> >= m/2 + b^T y + n min(0, lambda_min(C - A^T y))."""
+    const, c_mat, a_mat, b = arv_program(g, c)
+    n, m = g.n, len(b)
+    x, z, y = np.eye(n), np.eye(n), np.zeros(m)
+    s, t = np.ones(m - n), np.ones(m - n)
+    for it in range(max_iter):
+        rp = b - a_mat @ x.ravel()
+        rp[n:] -= s
+        rd = c_mat - (a_mat.T @ y).reshape(n, n) - z
+        rt = -y[n:] - t
+        pobj, dobj = np.vdot(c_mat, x), b @ y
+        err = max(np.linalg.norm(rp) / (1.0 + np.linalg.norm(b)),
+                  (np.linalg.norm(rd) + np.linalg.norm(rt)) / (1.0 + np.linalg.norm(c_mat)),
+                  abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)))
+        if err < tol:
+            break
+        mu = (np.vdot(x, z) + s @ t) / m
+        lx = np.linalg.cholesky(x)
+        lxi, lzi = np.linalg.inv(lx), np.linalg.inv(np.linalg.cholesky(z))
+        zi = lzi.T @ lzi
+        # Schur complement A (X kron Z^-1) A^T + diag(0, s/t), formed as a
+        # Gram matrix so that it stays PSD in floating point; it turns
+        # singular as the many tight triangles make the optimum degenerate,
+        # so it is solved on its range after a diagonal scaling
+        half = a_mat @ np.kron(lx, lzi.T)
+        schur = half @ half.T
+        schur[n:, n:] += np.diag(s / t)
+        scale = 1.0 / np.sqrt(np.diag(schur))
+        w, q = np.linalg.eigh(schur * scale * scale[:, None])
+        q = q[:, w > 1e-13 * w[-1]] / np.sqrt(w[w > 1e-13 * w[-1]])
+
+        def direction(target, cross_x, cross_s):
+            """Newton step toward XZ = target I, s t = target, with the
+            corrector's second-order terms."""
+            rx = target * zi - x - x @ rd @ zi - cross_x
+            rs = target / t - s - s / t * rt - cross_s
+            rhs = rp - a_mat @ rx.ravel()
+            rhs[n:] -= rs
+            dy = scale * (q @ (q.T @ (scale * rhs)))
+            aty = (a_mat.T @ dy).reshape(n, n)
+            dx = rx + x @ aty @ zi
+            return (dx + dx.T) / 2.0, dy, rd - aty, rs + s / t * dy[n:], rt - dy[n:]
+
+        def steps(dx, dz, ds, dt, gamma):
+            return (min(1.0, gamma * min(step_to_boundary(lxi, dx), ratio_to_boundary(s, ds))),
+                    min(1.0, gamma * min(step_to_boundary(lzi, dz), ratio_to_boundary(t, dt))))
+
+        dx, dy, dz, ds, dt = direction(0.0, 0.0, 0.0)
+        ap, ad = steps(dx, dz, ds, dt, 1.0)
+        mu_aff = (np.vdot(x + ap * dx, z + ad * dz) + (s + ap * ds) @ (t + ad * dt)) / m
+        dx, dy, dz, ds, dt = direction((mu_aff / mu) ** 3 * mu, dx @ dz @ zi, ds * dt / t)
+        ap, ad = steps(dx, dz, ds, dt, 0.95)
+        x, s = x + ap * dx, s + ap * ds
+        y, z, t = y + ad * dy, z + ad * dz, t + ad * dt
+    y[n:] = np.minimum(y[n:], 0.0)
+    low = np.linalg.eigvalsh(c_mat - (a_mat.T @ y).reshape(n, n))[0]
+    return const + np.vdot(c_mat, x), const + b @ y + n * min(0.0, low), it
+
+
+def test_sdp_matches_the_interior_point_reference():
+    """solve_sdp's value against an independent route to the same optimum,
+    on every acceptance corpus graph (n <= 10): the interior-point solve
+    converges, its dual bound stays at or below alpha, and the AL's value
+    lies within 1e-6 of that bound.  The reference shares no code with the
+    solver's constraints (`zform_spread_requirement`, the triangle scan)."""
+    for name, g in acceptance_corpus():
+        primal, dual, _ = ipm_reference(g, C)
+        assert abs(primal - dual) <= 1e-8, name
+        _, alpha = exact_balanced_separator(g, C)
+        assert dual <= alpha, name
+        _, report = solve_sdp(g, C, seed=0)
+        assert abs(report.value - dual) <= 1e-6, (name, report.value, dual)

@@ -156,6 +156,18 @@ def test_power_matrix_clips_negative_dust():
     assert np.all(w >= 0.0)
 
 
+@pytest.mark.parametrize("p", (0.5, 1.0, 1.5, 2.0))
+def test_kernel_and_scan_read_one_triangle_value_on_negative_dust(p):
+    # z_ij a few ulps below 0, as 1 - x_ij lands when x_ij rounds above 1:
+    # the AL kernel and the scan both read w = max(z, 0)^{p/2}
+    z = np.zeros((3, 3))
+    z[0, 2] = z[2, 0] = z[1, 2] = z[2, 1] = 3e-16
+    z[0, 1] = z[1, 0] = -1e-16
+    flat = core.triangle_flat_indices(triple_codes([(0, 1, 2)], 3), 3)
+    h, _ = core._triangle_terms(z, flat, p)
+    assert h[0] == core._violation_cube(z, p)[0, 1, 2]
+
+
 # triples sharing pairs within and across blocks: (0, 2) is the (i, k) pair of
 # the first two and the (i, j) pair of the last, (0, 1) is an (i, j) pair
 # twice, and (1, 2) is a (j, k) pair and an (i, k) pair
@@ -238,11 +250,11 @@ def al_objective_unfused(c_mat, rhs, p, mu, rho, flat, nu, n, d):
         if len(flat):
             half = p / 2.0
             g = z.ravel()[flat].reshape(3, -1)
+            pw = np.maximum(g, 0.0) ** half
+            h = pw[0] - pw[1] - pw[2]
             if half == 1.0:
-                h, dw = g[0] - g[1] - g[2], 1.0
+                dw = 1.0
             else:
-                pw = np.maximum(g, 0.0) ** half
-                h = pw[0] - pw[1] - pw[2]
                 dw = half * np.maximum(g, core.Z_FLOOR) ** (half - 1.0)
             coef = np.maximum(0.0, nu + rho * h)
             val += float(np.sum(coef * coef - nu * nu)) / (2.0 * rho)

@@ -19,6 +19,7 @@ import numpy as np
 from sepkit import cli, concave, sdp  # cli imports every traced module
 from sepkit.corpus import cycle_graph
 from sepkit.embeddings import GramForm, embedding_from_gram
+from sepkit.graphs import dump_graph
 from sepkit.rounding import PipelineOptions
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +55,25 @@ def test_tracer_reads_the_core_round_cap():
     params = inspect.signature(solver_core.minimize_linear_zform).parameters
     assert "max_rounds" in params
     assert load_spans().Tracer()._max_rounds == params["max_rounds"].default
+
+
+def test_tracer_counts_real_calls(tmp_path):
+    # the tracer's observer reads CoreResult and SetFindResult fields: run it
+    # over one solve of each kind and one in-process `sepkit pipeline` call
+    spans = load_spans()
+    g = cycle_graph(4)
+    graph = tmp_path / "c4.txt"
+    graph.write_text(dump_graph(g))
+    argv = ["pipeline", "--graph", str(graph), "--p", "2", "--c", "0.25",
+            "--out", str(tmp_path / "record.json")]
+    with spans.Tracer() as tracer:
+        sdp.solve_sdp(g, 0.25)
+        concave.solve_concave(g, 0.25, 1.0)
+        assert cli.main(argv) == 0
+    metrics = spans.layer_metrics(tracer, 1)
+    for key in ("sdp.solves", "solver_core.evals", "solver_core.al_rounds",
+                "rounding.attempts", "cli.calls"):
+        assert metrics[key]["value"] > 0, key
 
 
 def bench_run_tree():
