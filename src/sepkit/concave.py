@@ -115,12 +115,16 @@ def _descend(g, c, p, z_start, f_start, seed):
     rhs = zform_spread_requirement(g.n, c)
     iterations = 0
     converged = True
+    state = None  # the AL state of the last step; the first step starts cold
 
     def subproblem(z, feas_tol):
-        """One linearized step from z."""
-        nonlocal iterations, converged
+        """One linearized step from z, resumed from the step before it."""
+        nonlocal iterations, converged, state
         grad = objective_gradient(g, z, p)
-        result = core.minimize_linear_zform(grad, p, rhs, z, tol=feas_tol, seed=seed)
+        result = core.minimize_linear_zform(
+            grad, p, rhs, z, tol=feas_tol, seed=seed, state=state
+        )
+        state = result.state
         iterations += result.iterations
         converged = converged and result.converged
         return result.z, objective_z(g, result.z, p)
@@ -153,14 +157,22 @@ def _descend(g, c, p, z_start, f_start, seed):
     return z, f, iterations, certified, converged
 
 
-def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOptions()):
+def solve_concave(
+    g: Graph,
+    c: float,
+    p: float,
+    opts: ConcaveOptions = ConcaveOptions(),
+    sdp_gram: GramForm | None = None,
+):
     """Multistart linearization descent for 0 < p < 2; returns (ZForm, SolveReport).
 
     Start list: up to max(opts.starts - 1, 1) balanced-cut matrices (the
     best cut plus a seeded sample of others, complements deduplicated),
     then, when opts.starts >= 2, the Z of the p = 2 solution as the last
-    start; so starts = 1 is the best cut alone.  The reported value never exceeds the
-    value at any start; ties across starts resolve to the earliest one.
+    start; so starts = 1 is the best cut alone.  That solution is sdp_gram
+    when given, which must be `solve_sdp(g, c, seed=opts.seed)`'s Gram
+    matrix; otherwise it is solved here.  The reported value never exceeds
+    the value at any start; ties across starts resolve to the earliest one.
     Invalid (p, c) or balance raises before any work, as in `solve_sdp`.
     """
     require_balanced_sizes(g.n, c)
@@ -173,8 +185,9 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
     members = _cut_start_members(g, c, max(opts.starts - 1, 1), rng)
     starts = [cut_z_matrix(g, m) for m in members]
     if opts.starts >= 2:
-        x_sdp, _ = solve_sdp(g, c, seed=opts.seed)
-        starts.append(1.0 - x_sdp.matrix)
+        if sdp_gram is None:
+            sdp_gram, _ = solve_sdp(g, c, seed=opts.seed)
+        starts.append(1.0 - sdp_gram.matrix)
 
     best = None
     total_iter = 0
@@ -193,20 +206,28 @@ def solve_concave(g: Graph, c: float, p: float, opts: ConcaveOptions = ConcaveOp
 
 
 def solve_relaxation(
-    g: Graph, c: float, p: float, *, seed: int = 0, starts: int = STARTS
+    g: Graph,
+    c: float,
+    p: float,
+    *,
+    seed: int = 0,
+    starts: int = STARTS,
+    sdp: tuple[GramForm, SolveReport] | None = None,
 ) -> tuple[GramForm, SolveReport]:
     """Solve the exponent-p program for any 0 < p <= 2; returns (GramForm,
     SolveReport).
 
     p = 2 runs `solve_sdp`; every other p runs `solve_concave` with `starts`
     and converts its Z to the Gram matrix, so every exponent hands back the
-    same kind of matrix.  Rejects starts < 1 at every p; the solver it
-    dispatches to checks (p, c) and balance before any work.
+    same kind of matrix.  sdp, when given, is `solve_sdp(g, c, seed=seed)`
+    already solved: it is the answer at p = 2 and the p = 2 start below it.
+    Rejects starts < 1 at every p; the solver it dispatches to checks (p, c)
+    and balance before any work.
     """
     opts = ConcaveOptions(starts=starts, seed=seed)  # validates starts
     if p == 2.0:
-        return solve_sdp(g, c, seed=seed)
-    z, report = solve_concave(g, c, p, opts)
+        return solve_sdp(g, c, seed=seed) if sdp is None else sdp
+    z, report = solve_concave(g, c, p, opts, None if sdp is None else sdp[0])
     return gram_from_z(z), report
 
 

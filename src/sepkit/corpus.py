@@ -7,6 +7,7 @@ import numpy as np
 
 from .concave import STARTS, solve_relaxation
 from .graphs import Graph, exact_balanced_separator
+from .sdp import solve_sdp
 
 
 def cycle_graph(n: int) -> Graph:
@@ -79,10 +80,14 @@ def solve_corpus(graphs, c: float, exponents, *, seed: int = 0, starts: int = ST
     Yields (name, g, alpha, p, x, report): alpha is the exact c-balanced
     optimum, computed once per graph (None beyond the oracle's reach), and
     (x, report) is `solve_relaxation(g, c, p, seed=seed, starts=starts)`.
+    The p = 2 program is solved once per graph, before its exponents, and
+    handed to every solve of that graph: each p < 2 multistart starts from
+    it, and gets the bits it would get by solving it again.
     """
     for name, g in graphs:
         exact = exact_balanced_separator(g, c)
         alpha = None if exact is None else exact[1]
+        sdp = solve_sdp(g, c, seed=seed)
         for p in exponents:
-            x, report = solve_relaxation(g, c, p, seed=seed, starts=starts)
+            x, report = solve_relaxation(g, c, p, seed=seed, starts=starts, sdp=sdp)
             yield name, g, alpha, p, x, report

@@ -73,6 +73,17 @@ class NonconvergedError(RuntimeError):
     """Solver hit its iteration budget without a feasible point."""
 
 
+@dataclass(frozen=True)
+class ALState:
+    """What a resumed `minimize_linear_zform` reads of the solve before it:
+    the codes of its active triples (see scan_triangle_violations), in
+    activation order.  Successive linearization solves one region with a new
+    C at each step, so the triangles one step needed are those the next step
+    meets first."""
+
+    codes: np.ndarray
+
+
 @dataclass
 class CoreResult:
     z: np.ndarray
@@ -80,6 +91,7 @@ class CoreResult:
     rounds: int
     active_triangles: int
     converged: bool  # False when the loop stopped at max_rounds or MAX_EVALS
+    state: ALState  # pass to the next solve over the same region to resume
 
 
 def symmetrize(a):
@@ -346,6 +358,7 @@ def minimize_linear_zform(
     tol=1e-6,
     seed=0,
     max_rounds=80,
+    state=None,
 ):
     """Minimize <C, Z> over the exponent-p feasible region, warm-started at
     the n x n matrix z0.
@@ -354,6 +367,12 @@ def minimize_linear_zform(
     raises NonconvergedError if no iterate ever satisfied the constraints
     within tol.  The result is marked unconverged when the loop stopped at
     max_rounds or MAX_EVALS instead of settling on a stable feasible value.
+
+    state, an `ALState` from an earlier solve over the same region (same p
+    and rhs), resumes from it: its triples start active, and the factor
+    starts at z0 itself.  Without one the solve starts cold: no active
+    triples, and a factor blended toward the orthonormal pattern.
+    The multipliers and the penalty start afresh either way.
     """
     z0 = np.asarray(z0, dtype=float)
     n = z0.shape[0]
@@ -368,17 +387,22 @@ def minimize_linear_zform(
     if spread_sum(z0) - rhs >= -tol and max_triangle_violation_z(z0, p) <= tol:
         best = (float(np.vdot(c_mat, z0)), z0.copy())
 
-    # Start strictly inside: exact cut matrices are antipodal configurations,
-    # which are critical points of any linear objective on the sphere manifold;
-    # blending toward the orthonormal pattern breaks the saddle.
-    z_start = 0.7 * z0 + 0.3 * (1.0 - np.eye(n))
-    v = factor_correlation(1.0 - z_start, rng)
-    mu = 0.0
     # active triples, kept across rounds: their codes (see
     # scan_triangle_violations) and one multiplier each; flat, their indices
     # into Z, follows from the codes
-    active = np.zeros(0, dtype=np.int64)
-    nu = np.zeros(0)
+    if state is None:
+        # Start strictly inside: exact cut matrices are antipodal
+        # configurations, which are critical points of any linear objective
+        # on the sphere manifold; blending toward the orthonormal pattern
+        # breaks the saddle.
+        z_start = 0.7 * z0 + 0.3 * (1.0 - np.eye(n))
+        active = np.zeros(0, dtype=np.int64)
+    else:
+        z_start = z0
+        active = state.codes
+    v = factor_correlation(1.0 - z_start, rng)
+    mu = 0.0
+    nu = np.zeros(len(active))
     flat = triangle_flat_indices(active, n)
     rho = 1.0
     used = 0
@@ -446,4 +470,5 @@ def minimize_linear_zform(
         rounds=rounds,
         active_triangles=len(nu),
         converged=converged,
+        state=ALState(active),
     )

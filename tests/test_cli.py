@@ -130,9 +130,12 @@ def test_solve_default_starts_is_the_pipeline_default(c4_file, capsys):
     assert piped["results"]["relaxation_value"] == record["results"]["relaxation_value"]
 
 
-def test_solve_nonconvergence_exit_1(c4_file, capsys, monkeypatch):
+def test_solve_nonconvergence_exit_1(tmp_path, capsys, monkeypatch):
+    # one linearization step does not settle C6 at p = 1 (on C4 it does)
+    c6 = tmp_path / "c6.txt"
+    c6.write_text(dump_graph(cycle_graph(6)))
     monkeypatch.setattr(concave, "MAX_OUTER", 1)
-    code = main(["solve", "--graph", str(c4_file), "--p", "1", "--c", "0.25"])
+    code = main(["solve", "--graph", str(c6), "--p", "1", "--c", "0.25"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == (

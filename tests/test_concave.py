@@ -12,7 +12,14 @@ from sepkit.concave import (
     solve_concave,
     solve_relaxation,
 )
-from sepkit.corpus import acceptance_corpus, complete_graph, cycle_graph, gnp_graph, path_graph
+from sepkit.corpus import (
+    acceptance_corpus,
+    complete_graph,
+    cycle_graph,
+    gnp_graph,
+    path_graph,
+    solve_corpus,
+)
 from sepkit.embeddings import (
     cut_to_embedding,
     gram_from_z,
@@ -219,15 +226,30 @@ def test_descent_solves_each_subproblem_once(monkeypatch, name):
         assert len(set(calls)) == len(calls), p
 
 
-def test_solve_concave_local_minimality_certificate():
+@pytest.mark.parametrize("p", P_INNER)
+def test_solve_concave_local_minimality_certificate(p):
+    # the descent resumes each step from the last; a cold step, from no
+    # state, checks that the point it returns is a fixed point all the same
     g = gnp_graph(7, 0.5, 5)
-    z, rep = solve_concave(g, C, 1.0, ConcaveOptions(starts=3, seed=0))
-    grad = objective_gradient(g, z.matrix, 1.0)
+    z, rep = solve_concave(g, C, p, ConcaveOptions(starts=3, seed=0))
+    grad = objective_gradient(g, z.matrix, p)
     znext = core.minimize_linear_zform(
-        grad, 1.0, zform_spread_requirement(g.n, C), z.matrix, tol=1e-6, seed=0
+        grad, p, zform_spread_requirement(g.n, C), z.matrix, tol=1e-6, seed=0
     ).z
-    improvement = rep.value - objective_z(g, znext, 1.0)
+    improvement = rep.value - objective_z(g, znext, p)
     assert improvement < concave.INNER_TOL
+
+
+@pytest.mark.parametrize("name", ["C6", "K33", "gnp8_seed1"])
+def test_solve_corpus_hands_in_the_p2_solution_bit_identically(name):
+    # solve_corpus solves p = 2 once per graph; each p < 2 solve gets the
+    # bits it gets when it solves p = 2 itself
+    g = dict(acceptance_corpus())[name]
+    for _, _, _, p, x, rep in solve_corpus([(name, g)], C, (0.5, 1.0, 1.5, 2.0)):
+        x_alone, rep_alone = solve_relaxation(g, C, p)
+        assert rep.value.hex() == rep_alone.value.hex(), p
+        assert (rep.iterations, rep.converged) == (rep_alone.iterations, rep_alone.converged)
+        assert x.matrix.tobytes() == x_alone.matrix.tobytes(), p
 
 
 @pytest.mark.parametrize(

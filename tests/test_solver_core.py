@@ -11,9 +11,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
 from sepkit import solver_core as core
-from sepkit.corpus import cycle_graph
+from sepkit.corpus import acceptance_corpus, cycle_graph
 from sepkit.embeddings import objective_gradient, zform_spread_requirement
-from sepkit.sdp import cut_z_matrix
+from sepkit.sdp import cut_z_matrix, solve_sdp
 
 
 def test_factor_correlation_unit_rows_full_width():
@@ -139,6 +139,24 @@ def test_round_cap_marks_result_unconverged():
     settled = core.minimize_linear_zform(*args)
     assert settled.rounds < 80
     assert settled.converged
+
+
+@pytest.mark.parametrize("name, p", [("gnp8_seed4", 0.5), ("K5", 1.5)])
+def test_resumed_subproblem_settles_at_the_cold_value(name, p):
+    # given its own returned state, with the same C and z0, a solve starts
+    # with every triangle it needed active: nothing is left to find
+    g = dict(acceptance_corpus())[name]
+    z0 = 1.0 - solve_sdp(g, 0.25)[0].matrix  # an interior start, as the multistart's last
+    c_mat = objective_gradient(g, z0, p)
+    args = (c_mat, p, zform_spread_requirement(g.n, 0.25), z0)
+    cold = core.minimize_linear_zform(*args)
+    assert len(cold.state.codes) == cold.active_triangles > 0
+    warm = core.minimize_linear_zform(*args, state=cold.state)
+    assert warm.converged
+    assert warm.rounds <= 5
+    assert np.array_equal(warm.state.codes[: cold.active_triangles], cold.state.codes)
+    cold_value = float(np.vdot(c_mat, cold.z))
+    assert abs(float(np.vdot(c_mat, warm.z)) - cold_value) <= 1e-6 * (1.0 + abs(cold_value))
 
 
 def test_infeasible_spread_raises_nonconverged():
