@@ -226,18 +226,18 @@ def test_descent_solves_each_subproblem_once(monkeypatch, name):
         assert len(set(calls)) == len(calls), p
 
 
-@pytest.mark.parametrize("p", P_INNER)
-def test_solve_concave_local_minimality_certificate(p):
+def test_solve_concave_local_minimality_certificate():
     # the descent resumes each step from the last; a cold step, from no
     # state, checks that the point it returns is a fixed point all the same
     g = gnp_graph(7, 0.5, 5)
-    z, rep = solve_concave(g, C, p, ConcaveOptions(starts=3, seed=0))
-    grad = objective_gradient(g, z.matrix, p)
-    znext = core.minimize_linear_zform(
-        grad, p, zform_spread_requirement(g.n, C), z.matrix, tol=1e-6, seed=0
-    ).z
-    improvement = rep.value - objective_z(g, znext, p)
-    assert improvement < concave.INNER_TOL
+    for p in P_INNER:
+        z, rep = solve_concave(g, C, p, ConcaveOptions(starts=3, seed=0))
+        grad = objective_gradient(g, z.matrix, p)
+        znext = core.minimize_linear_zform(
+            grad, p, zform_spread_requirement(g.n, C), z.matrix, tol=1e-6, seed=0
+        ).z
+        improvement = rep.value - objective_z(g, znext, p)
+        assert improvement < concave.INNER_TOL, p
 
 
 @pytest.mark.parametrize("name", ["C6", "K33", "gnp8_seed1"])
