@@ -118,13 +118,15 @@ def _descend(g, c, p, z_start, f_start, seed):
     state = None  # the AL state of the last step; the first step starts cold
 
     def subproblem(z, feas_tol):
-        """One linearized step from z, resumed from the step before it."""
+        """One linearized step from z, resumed from the step before it: its
+        multipliers and penalty too when both steps are tight, else only its
+        active triangles."""
         nonlocal iterations, converged, state
         grad = objective_gradient(g, z, p)
         result = core.minimize_linear_zform(
             grad, p, rhs, z, tol=feas_tol, seed=seed, state=state
         )
-        state = result.state
+        state = result.state if feas_tol == TIGHT_TOL else core.ALState(result.state.codes)
         iterations += result.iterations
         converged = converged and result.converged
         return result.z, objective_z(g, result.z, p)

@@ -77,11 +77,20 @@ class NonconvergedError(RuntimeError):
 class ALState:
     """What a resumed `minimize_linear_zform` reads of the solve before it:
     the codes of its active triples (see scan_triangle_violations), in
-    activation order.  Successive linearization solves one region with a new
-    C at each step, so the triangles one step needed are those the next step
-    meets first."""
+    activation order, one multiplier nu per code, the spread multiplier mu
+    and the penalty rho.  Successive linearization solves one region with a
+    new C at each step, so the triangles one step needed are those the next
+    step meets first.
+
+    The loop minimizes <C / ||C||_F, Z>, so nu, mu and rho are held in that
+    scale: the duals of the program in C itself are ||C||_F nu and
+    ||C||_F mu.  A state built from codes alone resumes with the cold
+    multipliers, nu = 0, mu = 0 and rho = 1."""
 
     codes: np.ndarray
+    nu: np.ndarray | None = None  # None: zeros
+    mu: float = 0.0
+    rho: float = 1.0
 
 
 @dataclass
@@ -138,10 +147,12 @@ def _strict_upper(n):
     return mask
 
 
-def spread_sum(z):
-    """sum_{i<j} z_ij; the same sum, in the same order, as np.triu(z, k=1)."""
-    mask = _strict_upper(z.shape[0]).ravel()
-    return float(np.add.reduce(np.where(mask, z.ravel(), 0.0)))
+def spread_sum(z, upper=None):
+    """sum_{i<j} z_ij; the same sum, in the same order, as np.triu(z, k=1).
+    upper is `_strict_upper(n).ravel()`, for a caller that holds it."""
+    if upper is None:
+        upper = _strict_upper(z.shape[0]).ravel()
+    return float(np.add.reduce(np.where(upper, z.ravel(), 0.0)))
 
 
 def power_matrix(z, p):
@@ -216,7 +227,8 @@ _BLOCK_SIGNS = np.array([[0.5], [-0.5], [-0.5]])
 
 def _triangle_terms(z, flat, p):
     """Constraint values h_t of the active triples, from `power_matrix`, and
-    as a 3 x T block the z-derivatives of w at their (i, k), (i, j), (j, k)."""
+    as a 3 x T block the z-derivatives of w at their (i, k), (i, j), (j, k).
+    flat is `triangle_flat_indices`'s, as it is or as its 3 x T view."""
     half = p / 2.0
     g = z.take(flat).reshape(3, -1)
     w = power_matrix(g, p)
@@ -255,17 +267,19 @@ def lbfgs(fun, x0, f0, g0, max_iter):
     nfev = 1
     nit = 0
     while True:
-        # a float64 copy, as in scipy: setulb writes g when a line search
-        # fails, and g_seen must keep fun's gradient
-        g = g.astype(np.float64)
         setulb(m, x, no_bound, no_bound, nbd, f, g, LBFGS_FACTR, LBFGS_PGTOL,
                wa, iwa, task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
         if task[0] == 3:  # FG: wants value and gradient at x
-            if not (x == x_seen).all():
+            # memoryview's == on float64 is numpy's elementwise ==, all()
+            # (-0.0 equals 0.0, NaN equals nothing), without the bool array
+            if memoryview(x) != memoryview(x_seen):
                 x_seen = x.copy()
                 f_seen, g_seen = fun(x_seen)
                 nfev += 1
-            f, g = f_seen, g_seen
+            # into g, not g itself, as scipy copies: setulb writes g when a
+            # line search fails, and g_seen must keep fun's gradient
+            f = f_seen
+            g[:] = g_seen
         elif task[0] == 1:  # NEW_X: an iteration finished
             nit += 1
             if nit >= max_iter:
@@ -291,9 +305,12 @@ def _al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d):
     built here, once, so each evaluation is one pass over the formula."""
     diag = slice(None, None, n + 1)
     c_diag = c_mat.diagonal()
+    upper = _strict_upper(n).ravel()
+    blocks = flat.reshape(3, -1)
     mu_sq = mu * mu
     nu_sq = nu * nu
     two_rho = 2.0 * rho
+    linear = p == 2.0  # every dw/dz is 1
 
     def fun(w_flat):
         w = w_flat.reshape(n, d)
@@ -303,7 +320,7 @@ def _al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d):
         u = w / norms
         z = z_of_factor(u)
         val = float(np.vdot(c_mat, z))
-        s = spread_sum(z) - rhs
+        s = spread_sum(z, upper) - rhs
         # inequality s >= 0 with multiplier mu
         act_s = max(0.0, mu - rho * s)
         val += (act_s * act_s - mu_sq) / two_rho
@@ -314,13 +331,15 @@ def _al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d):
             m = c_mat - act_s * 0.5
             m.ravel()[diag] = c_diag
         if len(flat):
-            h, dw = _triangle_terms(z, flat, p)
+            h, dw = _triangle_terms(z, blocks, p)
             coef = np.maximum(0.0, nu + rho * h)
             val += float(np.add.reduce(coef * coef - nu_sq)) / two_rho
             if coef.any():
                 # one scatter, adding each block in turn from 0.0
-                weights = (_BLOCK_SIGNS * coef * dw).ravel()
-                add = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
+                weights = _BLOCK_SIGNS * coef
+                if not linear:
+                    weights *= dw
+                add = np.bincount(flat, weights=weights.ravel(), minlength=n * n).reshape(n, n)
                 m = m + add + add.T
         # Z = 1 - U U^T, so dF/dU = -2 (dF/dZ) U; project that onto the
         # unit-row tangent space and carry it back through the normalization
@@ -369,10 +388,11 @@ def minimize_linear_zform(
     max_rounds or MAX_EVALS instead of settling on a stable feasible value.
 
     state, an `ALState` from an earlier solve over the same region (same p
-    and rhs), resumes from it: its triples start active, and the factor
-    starts at z0 itself.  Without one the solve starts cold: no active
-    triples, and a factor blended toward the orthonormal pattern.
-    The multipliers and the penalty start afresh either way.
+    and rhs), resumes from it: its triples start active with its multipliers,
+    the spread multiplier and the penalty are its own, and the factor starts
+    at z0 itself.  Without one the solve starts cold: no active triples,
+    nu = 0, mu = 0, rho = 1, and a factor blended toward the orthonormal
+    pattern.
     """
     z0 = np.asarray(z0, dtype=float)
     n = z0.shape[0]
@@ -388,23 +408,24 @@ def minimize_linear_zform(
         best = (float(np.vdot(c_mat, z0)), z0.copy())
 
     # active triples, kept across rounds: their codes (see
-    # scan_triangle_violations) and one multiplier each; flat, their indices
-    # into Z, follows from the codes
+    # scan_triangle_violations), in activation order, and one multiplier
+    # each; flat, their indices into Z, and the lookup is_active follow from
+    # the codes
     if state is None:
         # Start strictly inside: exact cut matrices are antipodal
         # configurations, which are critical points of any linear objective
         # on the sphere manifold; blending toward the orthonormal pattern
         # breaks the saddle.
         z_start = 0.7 * z0 + 0.3 * (1.0 - np.eye(n))
-        active = np.zeros(0, dtype=np.int64)
+        state = ALState(np.zeros(0, dtype=np.int64))
     else:
         z_start = z0
-        active = state.codes
     v = factor_correlation(1.0 - z_start, rng)
-    mu = 0.0
-    nu = np.zeros(len(active))
+    active, mu, rho = state.codes, state.mu, state.rho
+    nu = np.zeros(len(active)) if state.nu is None else state.nu
     flat = triangle_flat_indices(active, n)
-    rho = 1.0
+    is_active = np.zeros(n**3, dtype=bool)
+    is_active[active] = True
     used = 0
     rounds = 0
     converged = False
@@ -445,8 +466,9 @@ def minimize_linear_zform(
             h, _ = _triangle_terms(z, flat, p)
             nu = np.maximum(0.0, nu + rho * h)
         # activate worst new triangles
-        fresh = codes[~np.isin(codes, active)][:batch]
+        fresh = codes[~is_active[codes]][:batch]
         if len(fresh):
+            is_active[fresh] = True
             active = np.concatenate([active, fresh])
             flat = triangle_flat_indices(active, n)
             nu = np.concatenate([nu, np.zeros(len(fresh))])
@@ -470,5 +492,5 @@ def minimize_linear_zform(
         rounds=rounds,
         active_triangles=len(nu),
         converged=converged,
-        state=ALState(active),
+        state=ALState(active, nu, mu, rho),
     )

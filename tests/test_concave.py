@@ -226,6 +226,37 @@ def test_descent_solves_each_subproblem_once(monkeypatch, name):
         assert len(set(calls)) == len(calls), p
 
 
+def test_descent_hands_duals_only_from_tight_step_to_tight_step(monkeypatch):
+    # loose steps and the tight landing resume from the last step's
+    # triangles alone; a tight step after a tight step resumes its whole
+    # state, multipliers and penalty too
+    g = dict(acceptance_corpus())["gnp8_seed1"]
+    solve = core.minimize_linear_zform
+    calls = []  # (tol, state handed in, state returned)
+
+    def recorded(c_mat, p, rhs, z0, **kwargs):
+        result = solve(c_mat, p, rhs, z0, **kwargs)
+        if p < 2.0:
+            calls.append((kwargs["tol"], kwargs["state"], result.state))
+        return result
+
+    monkeypatch.setattr(core, "minimize_linear_zform", recorded)
+    solve_concave(g, C, 1.5)
+    kinds = set()
+    for (tol_before, _, returned), (tol, handed, _) in zip(calls, calls[1:]):
+        if handed is None:  # the first step from a start
+            continue
+        assert handed.codes is returned.codes
+        if tol_before == tol == concave.TIGHT_TOL:
+            assert handed is returned
+            kinds.add("whole")
+        else:
+            assert (handed.nu, handed.mu, handed.rho) == (None, 0.0, 1.0)
+            kinds.add("loose" if tol == concave.LOOSE_TOL else "landing")
+    assert calls[0][1] is None
+    assert kinds == {"whole", "loose", "landing"}
+
+
 def test_solve_concave_local_minimality_certificate():
     # the descent resumes each step from the last; a cold step, from no
     # state, checks that the point it returns is a fixed point all the same

@@ -143,18 +143,39 @@ def test_round_cap_marks_result_unconverged():
 
 @pytest.mark.parametrize("name, p", [("gnp8_seed4", 0.5), ("K5", 1.5)])
 def test_resumed_subproblem_settles_at_the_cold_value(name, p):
-    # given its own returned state, with the same C and z0, a solve starts
-    # with every triangle it needed active: nothing is left to find
+    # given the codes of its own returned state, with the same C and z0, a
+    # solve starts with every triangle it needed active: nothing is left to
+    # find.  The codes alone: multipliers tuned at the returned point start
+    # this one off course
     g = dict(acceptance_corpus())[name]
     z0 = 1.0 - solve_sdp(g, 0.25)[0].matrix  # an interior start, as the multistart's last
     c_mat = objective_gradient(g, z0, p)
     args = (c_mat, p, zform_spread_requirement(g.n, 0.25), z0)
     cold = core.minimize_linear_zform(*args)
     assert len(cold.state.codes) == cold.active_triangles > 0
-    warm = core.minimize_linear_zform(*args, state=cold.state)
+    warm = core.minimize_linear_zform(*args, state=core.ALState(cold.state.codes))
     assert warm.converged
     assert warm.rounds <= 5
     assert np.array_equal(warm.state.codes[: cold.active_triangles], cold.state.codes)
+    cold_value = float(np.vdot(c_mat, cold.z))
+    assert abs(float(np.vdot(c_mat, warm.z)) - cold_value) <= 1e-6 * (1.0 + abs(cold_value))
+
+
+@pytest.mark.parametrize("name, p", [("gnp8_seed4", 0.5), ("K5", 1.5), ("C8", 1.0)])
+def test_full_state_at_its_own_point_settles_in_three_rounds(name, p):
+    # the whole state, multipliers and penalty too, given back with the
+    # point it returned: the first round already stays there, and two more
+    # confirm it, the fewest rounds the convergence test allows
+    g = dict(acceptance_corpus())[name]
+    z0 = 1.0 - solve_sdp(g, 0.25)[0].matrix
+    c_mat = objective_gradient(g, z0, p)
+    rhs = zform_spread_requirement(g.n, 0.25)
+    cold = core.minimize_linear_zform(c_mat, p, rhs, z0)
+    state = cold.state
+    assert len(state.nu) == len(state.codes)
+    assert state.mu > 0.0 or state.nu.any()  # more than the cold duals
+    warm = core.minimize_linear_zform(c_mat, p, rhs, cold.z, state=state)
+    assert warm.converged and warm.rounds == 3
     cold_value = float(np.vdot(c_mat, cold.z))
     assert abs(float(np.vdot(c_mat, warm.z)) - cold_value) <= 1e-6 * (1.0 + abs(cold_value))
 
