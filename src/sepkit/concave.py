@@ -126,7 +126,7 @@ def _descend(g, c, p, z_start, f_start, seed):
         result = core.minimize_linear_zform(
             grad, p, rhs, z, tol=feas_tol, seed=seed, state=state
         )
-        state = result.state if feas_tol == TIGHT_TOL else core.ALState(result.state.codes)
+        state = result.state if feas_tol == TIGHT_TOL else core.ALState.cold(result.state.codes)
         iterations += result.iterations
         converged = converged and result.converged
         return result.z, objective_z(g, result.z, p)
@@ -148,7 +148,9 @@ def _descend(g, c, p, z_start, f_start, seed):
     # and no worse than the start
     z1, f1 = subproblem(z, TIGHT_TOL)
     if f1 > f_start:
+        # back to the start: the landing's duals were tuned at another point
         z1, f1 = z_start, f_start
+        state = core.ALState.cold(state.codes)
     if z1.tobytes() == z.tobytes():
         # the landing stayed put, or fell back to the start it never left:
         # the tight loop's first step would repeat it and stop there

@@ -84,13 +84,17 @@ class ALState:
 
     The loop minimizes <C / ||C||_F, Z>, so nu, mu and rho are held in that
     scale: the duals of the program in C itself are ||C||_F nu and
-    ||C||_F mu.  A state built from codes alone resumes with the cold
-    multipliers, nu = 0, mu = 0 and rho = 1."""
+    ||C||_F mu."""
 
     codes: np.ndarray
-    nu: np.ndarray | None = None  # None: zeros
+    nu: np.ndarray
     mu: float = 0.0
     rho: float = 1.0
+
+    @classmethod
+    def cold(cls, codes):
+        """The codes with the multipliers and penalty a cold solve starts from."""
+        return cls(codes, np.zeros(len(codes)))
 
 
 @dataclass
@@ -147,12 +151,10 @@ def _strict_upper(n):
     return mask
 
 
-def spread_sum(z, upper=None):
-    """sum_{i<j} z_ij; the same sum, in the same order, as np.triu(z, k=1).
-    upper is `_strict_upper(n).ravel()`, for a caller that holds it."""
-    if upper is None:
-        upper = _strict_upper(z.shape[0]).ravel()
-    return float(np.add.reduce(np.where(upper, z.ravel(), 0.0)))
+def spread_sum(z):
+    """sum_{i<j} z_ij; the same sum, in the same order, as np.triu(z, k=1)."""
+    mask = _strict_upper(z.shape[0]).ravel()
+    return float(np.add.reduce(np.where(mask, z.ravel(), 0.0)))
 
 
 def power_matrix(z, p):
@@ -227,8 +229,7 @@ _BLOCK_SIGNS = np.array([[0.5], [-0.5], [-0.5]])
 
 def _triangle_terms(z, flat, p):
     """Constraint values h_t of the active triples, from `power_matrix`, and
-    as a 3 x T block the z-derivatives of w at their (i, k), (i, j), (j, k).
-    flat is `triangle_flat_indices`'s, as it is or as its 3 x T view."""
+    as a 3 x T block the z-derivatives of w at their (i, k), (i, j), (j, k)."""
     half = p / 2.0
     g = z.take(flat).reshape(3, -1)
     w = power_matrix(g, p)
@@ -305,12 +306,9 @@ def _al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d):
     built here, once, so each evaluation is one pass over the formula."""
     diag = slice(None, None, n + 1)
     c_diag = c_mat.diagonal()
-    upper = _strict_upper(n).ravel()
-    blocks = flat.reshape(3, -1)
     mu_sq = mu * mu
     nu_sq = nu * nu
     two_rho = 2.0 * rho
-    linear = p == 2.0  # every dw/dz is 1
 
     def fun(w_flat):
         w = w_flat.reshape(n, d)
@@ -320,7 +318,7 @@ def _al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d):
         u = w / norms
         z = z_of_factor(u)
         val = float(np.vdot(c_mat, z))
-        s = spread_sum(z, upper) - rhs
+        s = spread_sum(z) - rhs
         # inequality s >= 0 with multiplier mu
         act_s = max(0.0, mu - rho * s)
         val += (act_s * act_s - mu_sq) / two_rho
@@ -331,15 +329,13 @@ def _al_objective(c_mat, rhs, p, mu, rho, flat, nu, n, d):
             m = c_mat - act_s * 0.5
             m.ravel()[diag] = c_diag
         if len(flat):
-            h, dw = _triangle_terms(z, blocks, p)
+            h, dw = _triangle_terms(z, flat, p)
             coef = np.maximum(0.0, nu + rho * h)
             val += float(np.add.reduce(coef * coef - nu_sq)) / two_rho
             if coef.any():
                 # one scatter, adding each block in turn from 0.0
-                weights = _BLOCK_SIGNS * coef
-                if not linear:
-                    weights *= dw
-                add = np.bincount(flat, weights=weights.ravel(), minlength=n * n).reshape(n, n)
+                weights = (_BLOCK_SIGNS * coef * dw).ravel()
+                add = np.bincount(flat, weights=weights, minlength=n * n).reshape(n, n)
                 m = m + add + add.T
         # Z = 1 - U U^T, so dF/dU = -2 (dF/dZ) U; project that onto the
         # unit-row tangent space and carry it back through the normalization
@@ -417,12 +413,11 @@ def minimize_linear_zform(
         # on the sphere manifold; blending toward the orthonormal pattern
         # breaks the saddle.
         z_start = 0.7 * z0 + 0.3 * (1.0 - np.eye(n))
-        state = ALState(np.zeros(0, dtype=np.int64))
+        state = ALState.cold(np.zeros(0, dtype=np.int64))
     else:
         z_start = z0
     v = factor_correlation(1.0 - z_start, rng)
-    active, mu, rho = state.codes, state.mu, state.rho
-    nu = np.zeros(len(active)) if state.nu is None else state.nu
+    active, nu, mu, rho = state.codes, state.nu, state.mu, state.rho
     flat = triangle_flat_indices(active, n)
     is_active = np.zeros(n**3, dtype=bool)
     is_active[active] = True

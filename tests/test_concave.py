@@ -227,34 +227,39 @@ def test_descent_solves_each_subproblem_once(monkeypatch, name):
 
 
 def test_descent_hands_duals_only_from_tight_step_to_tight_step(monkeypatch):
-    # loose steps and the tight landing resume from the last step's
-    # triangles alone; a tight step after a tight step resumes its whole
-    # state, multipliers and penalty too
-    g = dict(acceptance_corpus())["gnp8_seed1"]
+    # loose steps, the tight landing and a tight step after the landing fell
+    # back to the start resume from the last step's triangles alone; a tight
+    # step from the point the tight step before it returned resumes its whole
+    # state, multipliers and penalty too.  gnp6_seed6 at p = 1.5 has all four
+    g = dict(acceptance_corpus())["gnp6_seed6"]
     solve = core.minimize_linear_zform
-    calls = []  # (tol, state handed in, state returned)
+    calls = []  # (tol, z0, state handed in, z and state returned)
 
     def recorded(c_mat, p, rhs, z0, **kwargs):
         result = solve(c_mat, p, rhs, z0, **kwargs)
         if p < 2.0:
-            calls.append((kwargs["tol"], kwargs["state"], result.state))
+            calls.append((kwargs["tol"], z0, kwargs["state"], result.z, result.state))
         return result
 
     monkeypatch.setattr(core, "minimize_linear_zform", recorded)
     solve_concave(g, C, 1.5)
     kinds = set()
-    for (tol_before, _, returned), (tol, handed, _) in zip(calls, calls[1:]):
+    for (tol_before, _, _, z_back, returned), (tol, z0, handed, _, _) in zip(calls, calls[1:]):
         if handed is None:  # the first step from a start
             continue
         assert handed.codes is returned.codes
-        if tol_before == tol == concave.TIGHT_TOL:
+        if tol_before == tol == concave.TIGHT_TOL and np.array_equal(z0, z_back):
             assert handed is returned
             kinds.add("whole")
         else:
-            assert (handed.nu, handed.mu, handed.rho) == (None, 0.0, 1.0)
-            kinds.add("loose" if tol == concave.LOOSE_TOL else "landing")
-    assert calls[0][1] is None
-    assert kinds == {"whole", "loose", "landing"}
+            assert not handed.nu.any() and len(handed.nu) == len(handed.codes)
+            assert (handed.mu, handed.rho) == (0.0, 1.0)
+            if tol == concave.LOOSE_TOL:
+                kinds.add("loose")
+            else:
+                kinds.add("fallback" if tol_before == concave.TIGHT_TOL else "landing")
+    assert calls[0][2] is None
+    assert kinds == {"whole", "loose", "landing", "fallback"}
 
 
 def test_solve_concave_local_minimality_certificate():

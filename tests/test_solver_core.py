@@ -153,7 +153,7 @@ def test_resumed_subproblem_settles_at_the_cold_value(name, p):
     args = (c_mat, p, zform_spread_requirement(g.n, 0.25), z0)
     cold = core.minimize_linear_zform(*args)
     assert len(cold.state.codes) == cold.active_triangles > 0
-    warm = core.minimize_linear_zform(*args, state=core.ALState(cold.state.codes))
+    warm = core.minimize_linear_zform(*args, state=core.ALState.cold(cold.state.codes))
     assert warm.converged
     assert warm.rounds <= 5
     assert np.array_equal(warm.state.codes[: cold.active_triangles], cold.state.codes)
