@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .concave import STARTS, solve_relaxation
 from .embeddings import Embedding, embedding_from_gram
-from .graphs import BRUTE_FORCE_CAP, dump_graph, exact_balanced_separator, load_dimacs, load_graph
+from .graphs import cap_error, dump_graph, exact_balanced_separator, load_dimacs, load_graph
 from .records import batch_rows_to_csv, experiment_record, record_to_json
 from .rounding import PipelineOptions, RoundingError, gaussian_projection_test, pipeline
 from .solver_core import NonconvergedError
@@ -40,7 +40,7 @@ def cmd_exact(args):
     g = _read_graph(args.graph)
     exact = exact_balanced_separator(g, args.c)
     if exact is None:
-        raise ValueError(f"n={g.n} exceeds the exact oracle's cap {BRUTE_FORCE_CAP}")
+        raise cap_error(g.n)
     cut, value = exact
     record = experiment_record(
         "exact",

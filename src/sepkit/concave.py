@@ -34,17 +34,14 @@ from .graphs import (
     Graph,
     InfeasibleBalanceError,
     balanced_size_range,
-    brute_force_cut_values,
-    exact_balanced_separator,
+    lex_rank,
+    mask_members,
     require_balanced_sizes,
+    subset_cut_table,
 )
 from .sdp import SolveReport, cut_z_matrix, solve_report, solve_sdp
 
 CONCAVE_N_CAP = 24
-# up to this n the cut starts are drawn from every balanced cut, which
-# `brute_force_cut_values` lists one by one in Python; above it they are
-# sampled at random
-CUT_ENUMERATION_N_MAX = 12
 STARTS = 4  # default multistart width of every p < 2 solve
 
 
@@ -69,24 +66,21 @@ class ConcavityReport:
 def _cut_start_members(g: Graph, c: float, starts: int, rng):
     """Deterministic list of cut member-sets to seed the multistart: the best
     balanced cut first, then a seeded sample of the others (canonical side
-    contains vertex 0, so complements collapse)."""
-    if g.n <= CUT_ENUMERATION_N_MAX:
-        pool = []
-        for members, value in brute_force_cut_values(g, c):
-            if 0 in members:
-                pool.append((value, members))
-        pool.sort(key=lambda t: (t[0], t[1]))
-        chosen = [pool[0]]
-        rest = pool[1:]
-        if rest and starts > 1:
-            idx = rng.choice(len(rest), size=min(starts - 1, len(rest)), replace=False)
-            chosen += [rest[i] for i in sorted(idx.tolist())]
-        return [set(members) for _, members in chosen]
+    contains vertex 0, so complements collapse).  Within the reach of
+    `subset_cut_table` the pool is every such cut by value, then `lex_rank`:
+    its first is the oracle's cut, whose complement is a minimum cut too, so
+    it holds vertex 0.  Beyond that reach the cuts are drawn at random."""
     sizes = balanced_size_range(g.n, c)
+    table = subset_cut_table(g)
+    if table is not None:
+        set_sizes, values = table
+        keep = (set_sizes >= sizes.start) & (set_sizes < sizes.stop)
+        masks = 2 * np.flatnonzero(keep[1::2]) + 1  # the masks holding vertex 0
+        key = values[masks].astype(np.int64) * (1 << g.n) + lex_rank(masks, g.n)
+        pool = masks[np.argsort(key)]
+        idx = rng.choice(len(pool) - 1, size=min(starts - 1, len(pool) - 1), replace=False)
+        return [set(mask_members(m, g.n)) for m in np.append(pool[0], pool[1:][np.sort(idx)])]
     picks = []
-    exact = exact_balanced_separator(g, c)
-    if exact is not None:
-        picks.append(set(exact[0].members))
     while len(picks) < starts:
         k = int(rng.integers(sizes.start, sizes.stop))
         members = set(rng.choice(g.n, size=k, replace=False).tolist())

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -188,23 +187,29 @@ def require_balanced_sizes(n: int, c) -> range:
 
 
 def is_c_balanced(g: Graph, s: Cut, c) -> bool:
-    """Strict balance test cn < |S| < (1-c)n, exact for rational c."""
+    """Strict balance test cn < |S| < (1-c)n, by `balanced_size_range`."""
     s.validate(g)
-    k = len(s.members)
-    cf = Fraction(c)
-    return cf * g.n < k < (1 - cf) * g.n
+    return len(s.members) in balanced_size_range(g.n, c)
+
+
+def cap_error(n):
+    """The error for n beyond BRUTE_FORCE_CAP, as `sepkit exact` reports it."""
+    return ValueError(f"n={n} exceeds the exact oracle's cap {BRUTE_FORCE_CAP}")
 
 
 def subset_cut_table(g: Graph):
     """Size and cut value of every vertex subset, indexed by bitmask (bit v
     set when v is a member); returns (sizes, values) as two arrays of length
-    2^n.
+    2^n, or None when n exceeds BRUTE_FORCE_CAP: the one test of the reach of
+    the oracle, `brute_force_cut_values` and the concave start pool.
 
     Built one vertex at a time: the table over {0..v-1} doubles, the upper
     half holding the subsets that gain v.  When v joins a subset m, the cut
     gains the lower neighbours of v outside m; when v stays out, it gains
     the lower neighbours inside m.
     """
+    if g.n > BRUTE_FORCE_CAP:
+        return None
     lower = [[] for _ in range(g.n)]
     for i, j in g.edges:
         lower[j].append(i)
@@ -220,50 +225,53 @@ def subset_cut_table(g: Graph):
     return sizes, values
 
 
-def _lex_min_members(masks, n):
-    """Lexicographically smallest sorted member tuple among the given masks.
+def lex_rank(masks, n):
+    """Position of each nonempty subset of {0..n-1}, given by an int64 array
+    of bitmasks, in the order of sorted member tuples (the empty tuple is 0):
+    the one order of balanced cuts.  Before S = {a_1 < ... < a_k} come its k
+    proper prefixes and, for each non-member t < a_k, the 2^(n-1-t) subsets
+    that agree with S below t and hold t; with r the mask reversed within n
+    bits, that is |S| + 2^n - r - (r & -r)."""
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1  # of every byte
+    popcount, reverse = bits.sum(axis=1), bits @ (1 << np.arange(7, -1, -1))
+    size = rev = 0
+    for shift in range(0, n, 8):
+        byte = (masks >> shift) & 255
+        size = size + np.take(popcount, byte)
+        rev = rev << 8 | np.take(reverse, byte)
+    rev >>= -n % 8  # reversed within whole bytes, then within n bits
+    return size + (1 << n) - rev - (rev & -rev)
 
-    Greedy radix scan: at each vertex v, a candidate set that already ended is a
-    prefix of (hence smaller than) every extension, and taking v beats skipping it.
-    """
-    cand = masks
-    prefix = 0
-    members = []
-    for v in range(n):
-        if np.any(cand == prefix):
-            return tuple(members)
-        bit = 1 << v
-        with_v = cand[(cand & bit) != 0]
-        if len(with_v):
-            cand = with_v
-            prefix |= bit
-            members.append(v)
-    return tuple(members)
+
+def mask_members(mask, n):
+    """Sorted member tuple of a subset of {0..n-1} given by bitmask."""
+    return tuple(v for v in range(n) if mask >> v & 1)
 
 
 def exact_balanced_separator(g: Graph, c):
     """Exhaustive minimum c-balanced cut; ties broken by lexicographically
-    smallest member set.  Returns (Cut, value), or None when n exceeds
-    BRUTE_FORCE_CAP: the one place that decides the oracle's reach.  The
-    instance is checked first, at every n."""
+    smallest member set.  Returns (Cut, value), or None beyond the reach of
+    `subset_cut_table`.  The instance is checked first, at every n."""
     sizes = require_balanced_sizes(g.n, c)
-    if g.n > BRUTE_FORCE_CAP:
+    table = subset_cut_table(g)
+    if table is None:
         return None
-    set_sizes, values = subset_cut_table(g)
+    set_sizes, values = table
     keep = (set_sizes >= sizes.start) & (set_sizes < sizes.stop)
     best = int(values[keep].min())
     winners = np.flatnonzero(keep & (values == best))
-    members = _lex_min_members(winners, g.n)
-    return Cut(members), best
+    return Cut(mask_members(winners[np.argmin(lex_rank(winners, g.n))], g.n)), best
 
 
 def brute_force_cut_values(g: Graph, c):
     """All (members, value) pairs over c-balanced subsets, by size and then
-    lexicographically; the values are read from `subset_cut_table`.  Used to
-    enumerate warm starts and to draw feasible points in the verify suites."""
-    _, values = subset_cut_table(g)
-    out = []
-    for k in balanced_size_range(g.n, c):
-        for sub in combinations(range(g.n), k):
-            out.append((sub, int(values[sum(1 << v for v in sub)])))
-    return out
+    lexicographically, read from `subset_cut_table`; `cap_error` beyond its
+    reach.  Used to draw feasible points in the verify suites."""
+    table = subset_cut_table(g)
+    if table is None:
+        raise cap_error(g.n)
+    set_sizes, values = table
+    sizes = balanced_size_range(g.n, c)
+    masks = np.flatnonzero((set_sizes >= sizes.start) & (set_sizes < sizes.stop))
+    masks = masks[np.lexsort((lex_rank(masks, g.n), set_sizes[masks]))]
+    return [(mask_members(m, g.n), int(values[m])) for m in masks]

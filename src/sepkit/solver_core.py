@@ -60,7 +60,6 @@ setulb = _load_setulb()
 Z_FLOOR = 1e-8  # gradient guard: d(z^{p/2})/dz blows up at z = 0 for p < 2
 JITTER = 1e-4  # factor jitter at the warm start (see factor_correlation)
 INNER_STEPS = 120  # L-BFGS iterations per augmented-Lagrangian round
-MIN_NEW_TRIANGLES = 4  # a round activates up to max(n, this) new triangles
 MAX_EVALS = 50000  # function evaluations per minimize_linear_zform call
 # L-BFGS-B settings: scipy's defaults, with ftol = 1e-14 and gtol = 1e-8
 LBFGS_MEMORY = 10
@@ -209,8 +208,6 @@ def scan_triangle_violations(z, p, tol):
 
 def max_triangle_violation_z(z, p):
     """Largest power-triangle violation of a symmetric z; 0 when none is."""
-    if z.shape[0] < 3:
-        return 0.0
     return float(_violation_cube(z, p).max())
 
 
@@ -394,7 +391,6 @@ def minimize_linear_zform(
     n = z0.shape[0]
     c_mat = symmetrize(np.asarray(c_mat, dtype=float))
     rng = np.random.default_rng(seed)
-    batch = max(n, MIN_NEW_TRIANGLES)
     # rescale the objective so step sizes and penalties are scale-free
     cscale = float(np.linalg.norm(c_mat))
     c_unit = c_mat / cscale if cscale > 0.0 else c_mat
@@ -460,8 +456,8 @@ def minimize_linear_zform(
         if len(flat):
             h, _ = _triangle_terms(z, flat, p)
             nu = np.maximum(0.0, nu + rho * h)
-        # activate worst new triangles
-        fresh = codes[~is_active[codes]][:batch]
+        # activate the n worst new triangles
+        fresh = codes[~is_active[codes]][:n]
         if len(fresh):
             is_active[fresh] = True
             active = np.concatenate([active, fresh])
@@ -469,7 +465,7 @@ def minimize_linear_zform(
             nu = np.concatenate([nu, np.zeros(len(fresh))])
         # two-sided penalty adaptation: grow on stalls, shrink once feasible so
         # the quadratic wall does not choke tangent progress along the boundary
-        if infeas <= tol:
+        if feasible_now:
             feas_streak += 1
             if feas_streak >= 2:
                 rho = max(rho * 0.5, 1.0)
@@ -477,7 +473,7 @@ def minimize_linear_zform(
             feas_streak = 0
             if infeas > 0.9 * prev_infeas:
                 rho = min(rho * 2.0, 1e8)
-        prev_infeas = max(infeas, 1e-300)
+        prev_infeas = infeas
 
     if best is None:
         raise NonconvergedError(f"no feasible iterate within tol={tol} after {used} steps")

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,9 @@ from sepkit.graphs import (
     Cut,
     Graph,
     InfeasibleBalanceError,
+    balanced_size_range,
     brute_force_cut_values,
+    cut_size,
     exact_balanced_separator,
     is_c_balanced,
 )
@@ -174,8 +178,9 @@ def no_solver_work(monkeypatch):
         raise AssertionError("solver work ran before the input check")
 
     monkeypatch.setattr(core, "minimize_linear_zform", work)
-    monkeypatch.setattr(graphs, "subset_cut_table", work)
-    for mod in (graphs, sdp, concave, rounding):
+    for mod in (graphs, concave):
+        monkeypatch.setattr(mod, "subset_cut_table", work)
+    for mod in (graphs, sdp, rounding):
         monkeypatch.setattr(mod, "exact_balanced_separator", work)
 
 
@@ -288,12 +293,41 @@ def test_solve_corpus_hands_in_the_p2_solution_bit_identically(name):
         assert x.matrix.tobytes() == x_alone.matrix.tobytes(), p
 
 
-@pytest.mark.parametrize(
-    "n", [concave.CUT_ENUMERATION_N_MAX + 2, graphs.BRUTE_FORCE_CAP + 2]
-)
-def test_cut_starts_sampled_beyond_enumeration(n):
-    # n > CUT_ENUMERATION_N_MAX samples the starts; the exact cut leads
-    # while the oracle runs
+def reference_cut_starts(g, c, starts, rng):
+    """The start pool by Python enumeration: every balanced cut holding
+    vertex 0 by (value, member tuple), the best first, then a seeded sample
+    of the rest in pool order."""
+    pool = sorted(
+        (cut_size(g, Cut(sub)), sub)
+        for k in balanced_size_range(g.n, c)
+        for sub in combinations(range(g.n), k)
+        if 0 in sub
+    )
+    chosen = [pool[0]]
+    rest = pool[1:]
+    if rest and starts > 1:
+        idx = rng.choice(len(rest), size=min(starts - 1, len(rest)), replace=False)
+        chosen += [rest[i] for i in sorted(idx.tolist())]
+    return [set(members) for _, members in chosen]
+
+
+def test_cut_starts_match_enumeration_reference():
+    # at n <= 12 the table's pool is the one a combinations walk and a tuple
+    # sort give, drawn with the same seeded sample
+    instances = acceptance_corpus() + [(f"gnp12_p03_seed{s}", gnp_graph(12, 0.3, s)) for s in (0, 1)]
+    for name, g in instances:
+        for starts in range(1, 7):
+            for seed in range(4):
+                got = concave._cut_start_members(g, C, starts, np.random.default_rng(seed))
+                want = reference_cut_starts(g, C, starts, np.random.default_rng(seed))
+                assert got == want, (name, starts, seed)
+
+
+@pytest.mark.parametrize("n", [14, graphs.BRUTE_FORCE_CAP + 2])
+def test_cut_starts_from_table_or_sampled(n):
+    # within the table's reach every balanced cut is in the pool, the exact
+    # cut leads and the sample follows in (value, member tuple) order;
+    # beyond it the starts are sampled
     g = gnp_graph(n, 0.3, 1)
     starts = 6
     picks = concave._cut_start_members(g, C, starts, np.random.default_rng(0))
@@ -306,6 +340,8 @@ def test_cut_starts_sampled_beyond_enumeration(n):
     assert (exact is None) == (n > graphs.BRUTE_FORCE_CAP)
     if exact is not None:
         assert picks[0] == set(exact[0].members)
+        keys = [(cut_size(g, Cut(m)), tuple(sorted(m))) for m in picks]
+        assert keys == sorted(keys)
 
 
 def test_solve_concave_never_above_any_start_value():

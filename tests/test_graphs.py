@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -11,9 +12,11 @@ from sepkit.graphs import (
     GraphParseError,
     InfeasibleBalanceError,
     balanced_size_range,
+    brute_force_cut_values,
     cut_size,
     exact_balanced_separator,
     is_c_balanced,
+    lex_rank,
     load_dimacs,
     load_graph,
     subset_cut_table,
@@ -139,6 +142,36 @@ def test_balanced_size_range_examples():
     assert list(balanced_size_range(2, 0.6)) == []
 
 
+def test_balanced_size_range_is_the_strict_rule():
+    # the one copy of the balance rule: exactly the sizes cn < k < (1-c)n
+    for c in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), 0.3):
+        cf = Fraction(c)
+        for n in range(1, 21):
+            strict = [k for k in range(n + 1) if cf * n < k < (1 - cf) * n]
+            assert list(balanced_size_range(n, c)) == strict, (c, n)
+
+
+def test_lex_rank_is_sorted_tuple_order():
+    # with the empty tuple at position 0, the ranks of the nonempty masks
+    # complete a bijection onto 0..2^n-1 that is Python's tuple order
+    for n in range(1, 11):
+        masks = np.arange(1 << n)
+        tuples = [tuple(v for v in range(n) if m >> v & 1) for m in masks.tolist()]
+        position = {t: k for k, t in enumerate(sorted(tuples))}
+        ranks = np.concatenate([[0], lex_rank(masks[1:], n)])
+        assert sorted(ranks.tolist()) == list(range(1 << n)), n
+        assert ranks.tolist() == [position[t] for t in tuples], n
+
+
+def test_brute_force_cut_values_is_the_combinations_walk():
+    # by size, then lexicographically, with each subset's cut value
+    for g in (cycle_graph(7), gnp_graph(9, 0.4, 2), Graph(5)):
+        for c in (0.1, 0.25, 1 / 3):
+            want = [(sub, cut_size(g, Cut(sub)))
+                    for k in balanced_size_range(g.n, c) for sub in combinations(range(g.n), k)]
+            assert brute_force_cut_values(g, c) == want
+
+
 def naive_min_balanced_cut(g, c):
     """Reference oracle: pure-Python enumeration, independent of the bitmask
     implementation under test."""
@@ -205,6 +238,9 @@ def test_exact_cap():
     # beyond its reach the oracle answers None; the instance is still checked
     g = Graph(BRUTE_FORCE_CAP + 1)
     assert exact_balanced_separator(g, 0.25) is None
+    assert subset_cut_table(g) is None
+    with pytest.raises(ValueError, match=f"^n={g.n} exceeds the exact oracle's cap {BRUTE_FORCE_CAP}$"):
+        brute_force_cut_values(g, 0.25)
     with pytest.raises(ValueError, match="c must lie"):
         exact_balanced_separator(g, 0.0)
     assert exact_balanced_separator(cycle_graph(BRUTE_FORCE_CAP), 0.25)[1] == 2
